@@ -146,10 +146,11 @@ def _measure():
     return base_t, inst_t
 
 
-def _serve_round(cluster, worker, tracer):
-    """One dispatcher round driven inline: mint, resolve, batch, run.
+def _serve_round(cluster):
+    """One serving window driven inline: mint, stamp, then the cluster's
+    own per-window method (resolve, batch, place, run, complete).
 
-    Mirrors what submit + the dispatcher thread do per request (trace
+    Mirrors what submit + the serving thread do per request (trace
     minting, queue stamps, stage spans) without thread-scheduling noise.
     """
     from repro.serve.request import Request, RequestStatus
@@ -162,20 +163,7 @@ def _serve_round(cluster, worker, tracer):
         req.status = RequestStatus.QUEUED
         req.t_submit_wall = time.perf_counter()
         reqs.append(req)
-    t_take = tracer.now_us()
-    for req in reqs:
-        if req.trace is not None:
-            req.trace.record("queue_wait", tracer.to_us(req.t_submit_wall),
-                             t_take, depth=0)
-    work = [w for w in (cluster._resolve(r) for r in reqs)
-            if w is not None]
-    for batch in cluster.batcher.form(work):
-        t_sched = tracer.now_us()
-        for pos, it in enumerate(batch.items):
-            if it.request.trace is not None:
-                it.request.trace.record("schedule", t_take, t_sched,
-                                        policy="bench", device=0)
-        worker._execute(batch)
+    cluster._serve_window(reqs)
 
 
 def _measure_recorder():
@@ -193,26 +181,23 @@ def _measure_recorder():
     clean scheduling window, and the true per-request tracing cost is a
     constant that no lucky window can hide.
     """
-    from repro.obs.tracing import get_tracer
     import repro.serve.workloads  # noqa: F401 - registers builtins
     from repro.serve.cluster import ServeCluster
 
-    tracer = get_tracer()
     setups = {}
     for rec in (False, True):
         cluster = ServeCluster(num_devices=1, batching=True,
                                max_batch=SERVE_BATCH, recorder=rec,
                                slo={"*": 1e9} if rec else None)
-        worker = cluster.workers[0]
-        _serve_round(cluster, worker, tracer)  # warm cache + JIT + gate
-        setups[rec] = (cluster, worker)
+        _serve_round(cluster)  # warm cache + JIT + gate
+        setups[rec] = cluster
     samples = {False: [], True: []}
     for pair in range(SERVE_PAIRS):
         order = (False, True) if pair % 2 == 0 else (True, False)
         for rec in order:
-            cluster, worker = setups[rec]
+            cluster = setups[rec]
             t0 = time.process_time()
-            _serve_round(cluster, worker, tracer)
+            _serve_round(cluster)
             samples[rec].append(time.process_time() - t0)
     return min(samples[False]), min(samples[True])
 

@@ -3,7 +3,7 @@
 The compiler/dispatch spans of :mod:`repro.obs.tracing` answer "where
 did *this process* spend its time"; they cannot answer "where did
 *request 4182* spend its time" once the serving layer interleaves many
-requests across the queue, the dispatcher, and N device workers.  This
+requests across the queue, the batcher, and N devices.  This
 module adds the request axis:
 
 - :func:`mint_trace_id` issues a process-unique trace ID (stamped on a
@@ -14,8 +14,8 @@ module adds the request axis:
   :func:`~repro.obs.tracing.trace_span` opened while the trace is
   :meth:`~RequestTrace.active` (the device's ``sanitize_gate``,
   ``dispatch:{sequential|wide|jit}``, ``chunk`` and ``fold`` spans land
-  here with correct parent linkage, regardless of which worker thread
-  runs them),
+  here with correct parent linkage, regardless of which thread runs
+  them),
 - :func:`traces_to_chrome` renders many trees into one Chrome-trace
   document, one timeline row per request.
 
@@ -106,10 +106,11 @@ class SpanNode:
 class RequestTrace:
     """The causal span tree of one serving request.
 
-    Stage spans recorded by different threads (submit thread, dispatcher,
-    device worker) attach at the root in recording order; spans opened
-    via :func:`trace_span` while the trace is :meth:`active` nest under
-    whatever span is open in that context.  A lock guards mutation —
+    Stage spans recorded by different threads (the serving thread; in a
+    sharded cluster also the router and pump threads) attach at the root
+    in recording order; spans opened via :func:`trace_span` while the
+    trace is :meth:`active` nest under whatever span is open in that
+    context.  A lock guards mutation —
     stages are causally ordered, but the recording threads differ.
     """
 
@@ -293,7 +294,7 @@ def traces_to_chrome(traces: Iterable[RequestTrace]) -> dict:
 
     Each request gets its own ``tid`` row named after its trace ID, so
     Perfetto shows one waterfall per request instead of one interleaved
-    soup per worker thread.
+    soup per thread.
     """
     events: List[dict] = [{"name": "process_name", "ph": "M", "pid": 0,
                            "tid": 0, "args": {"name": "repro.serve"}}]

@@ -9,7 +9,7 @@ same program, same signature, same grid shape — so a batch of N costs
 
     ``launch_overhead_us + (N - 1) * pipelined_launch_us + sum(kernel)``
 
-instead of ``N * launch_overhead_us + sum(kernel)``, and the worker can
+instead of ``N * launch_overhead_us + sum(kernel)``, and the cluster can
 drive all N launches through one pooled
 :class:`~repro.sim.batch.TracingExecutor` (shared operand plans).
 
@@ -57,8 +57,6 @@ class Batch:
 
     items: List[WorkItem]
     id: int = field(default_factory=lambda: next(_batch_ids))
-    #: dispatcher's simulated-service estimate (for least-loaded routing).
-    estimate_us: float = 0.0
 
     @property
     def size(self) -> int:
@@ -91,7 +89,7 @@ class DynamicBatcher:
         self.enabled = enabled and max_batch > 1
 
     def form(self, items: List[WorkItem]) -> List[Batch]:
-        """Coalesce one dispatcher drain into ordered batches."""
+        """Coalesce one serving window into ordered batches."""
         if not self.enabled:
             return [Batch(items=[it]) for it in items]
         batches: List[Tuple[int, Batch]] = []  # (first position, batch)

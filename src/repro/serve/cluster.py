@@ -1,21 +1,29 @@
-"""The virtual serving cluster: N devices, one scheduler, one front door.
+"""The virtual serving cluster: N devices, one serving thread, one front door.
 
 Pipeline::
 
-    submit() -> SubmissionQueue -> dispatcher thread -> DeviceWorker[i]
-                 (admission /       (resolve, batch,      (per-device
-                  backpressure)      pick device)          thread + lock)
+    submit() -> SubmissionQueue -> serving thread, one window per pass:
+                 (admission /        take -> resolve -> batch -> pick a
+                  backpressure)      device -> run inline -> complete
 
-- The **dispatcher** drains the bounded submission queue, resolves each
-  request against the workload registry, lets the
+- One **serving thread** per cluster blocks on the bounded submission
+  queue and takes one window of what is queued (at most ``max_batch`` x
+  devices, never waiting for more).  It resolves each request against
+  the workload registry, lets the
   :class:`~repro.serve.batcher.DynamicBatcher` coalesce compatible
-  compiled requests, and routes every batch to a device via the
-  configured :class:`~repro.serve.scheduler.Policy`.
-- Each **DeviceWorker** owns one simulated :class:`Device` plus a lock,
-  so the device and its :class:`KernelCache` are never touched by two
-  threads at once; workers run concurrently with each other, which is
-  where the wall-clock parallelism comes from.
-- Two clocks are kept per request: wall time (thread reality) and the
+  compiled requests, routes every batch to a device via the configured
+  :class:`~repro.serve.scheduler.Policy`, and runs the batch on that
+  device before taking the next window.
+- Backlog beyond the window stays in the queue, so lane/EDF order
+  (:class:`~repro.serve.lanes.PriorityLaneQueue`) and watermark
+  backpressure act on all of it.
+- Each :class:`DeviceWorker` is plain per-device state: one simulated
+  :class:`Device`, its device-free point on the simulated timeline and
+  its counters.  Only the serving thread runs batches, so nothing is
+  locked.  Devices are in-order queues on the simulated clock anyway;
+  wall-clock parallelism comes from shard processes
+  (:mod:`repro.serve.shard`), not from threads sharing one GIL.
+- Two clocks are kept per request: wall time and the
   simulated-microsecond timeline, where each device is a serial resource
   — a batch head pays the full launch overhead, coalesced followers pay
   only the pipelined gap (see :mod:`repro.serve.batcher`).
@@ -28,9 +36,9 @@ spans in the trace sinks.
 
 from __future__ import annotations
 
-import queue as _stdqueue
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -48,12 +56,10 @@ from repro.sim.machine import GEN11_ICL, MachineConfig
 
 from repro.serve.batcher import Batch, DynamicBatcher, WorkItem
 from repro.serve.lanes import PriorityLaneQueue, normalize_lane
-from repro.serve.queue import SubmissionQueue
+from repro.serve.queue import Backpressure, ShutDown, SubmissionQueue
 from repro.serve.request import Request, RequestStatus, percentiles
 from repro.serve.scheduler import Policy, make_policy
 from repro.serve.workloads import get_workload
-
-_SHUTDOWN = object()
 
 #: Wall-latency histogram buckets in milliseconds (the default metric
 #: buckets are microsecond-scaled for simulated time).
@@ -61,213 +67,24 @@ _MS_BUCKETS = (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0,
                float("inf"))
 
 
-class DeviceWorker(threading.Thread):
-    """One thread driving one simulated device."""
+class DeviceWorker:
+    """One simulated device and its place on the simulated timeline."""
 
-    def __init__(self, index: int, device: Device,
-                 cluster: "ServeCluster") -> None:
-        super().__init__(name=f"serve-dev{index}", daemon=True)
+    def __init__(self, index: int, device: Device) -> None:
         self.index = index
         self.device = device
-        self.cluster = cluster
-        self.inbox: _stdqueue.Queue = _stdqueue.Queue()
         #: tuned-variant accounting: "family:label" -> requests served.
         self.variants_served: Dict[str, int] = {}
-        #: serializes every touch of the device and its kernel cache.
-        self.lock = threading.Lock()
         #: device-free point on the simulated timeline.
         self.sim_clock_us = 0.0
         #: committed simulated busy time (overhead + kernel).
         self.busy_sim_us = 0.0
-        #: estimated simulated time of batches queued on the inbox.
-        self.pending_sim_us = 0.0
         self.requests_done = 0
         self.batches_done = 0
-        self._pending_lock = threading.Lock()
 
     def load_sim_us(self) -> float:
-        """The least-loaded metric: committed + estimated queued work."""
-        with self._pending_lock:
-            return self.busy_sim_us + self.pending_sim_us
-
-    def note_assigned(self, estimate_us: float) -> None:
-        with self._pending_lock:
-            self.pending_sim_us += estimate_us
-
-    def _note_served(self, estimate_us: float, busy_us: float) -> None:
-        with self._pending_lock:
-            self.pending_sim_us = max(0.0, self.pending_sim_us - estimate_us)
-            self.busy_sim_us += busy_us
-
-    def run(self) -> None:
-        while True:
-            batch = self.inbox.get()
-            if batch is _SHUTDOWN:
-                break
-            try:
-                self._execute(batch)
-            finally:
-                self.inbox.task_done()
-
-    # -- batch execution ---------------------------------------------------
-
-    def _execute(self, batch: Batch) -> None:
-        cluster = self.cluster
-        machine = self.device.machine
-        with self.lock, trace_span("serve:batch", device=self.index,
-                                   kernel=batch.kernel_name,
-                                   size=batch.size):
-            batch_busy_us = 0.0
-            # Pooled JIT-capable wide executor: coalesced compiled
-            # batches reuse one grid-vectorized executor across the
-            # whole batch, and run_compiled binds the kernel's cached
-            # megakernel into it so every request after the first skips
-            # both plan construction and JIT compilation; run_compiled
-            # falls back to a fresh scalar path for programs the wide
-            # path cannot vectorize.
-            pooled = JitTracingExecutor() if (
-                batch.size > 1 and batch.items[0].kind == "compiled") \
-                else None
-            for pos, item in enumerate(batch.items):
-                req = item.request
-                req.status = RequestStatus.RUNNING
-                req.t_dispatch_wall = time.perf_counter()
-                req.device_index = self.index
-                req.batch_id = batch.id
-                req.batch_size = batch.size
-                overhead_us = machine.launch_overhead_us if pos == 0 \
-                    else machine.pipelined_launch_us
-                start = self.sim_clock_us
-                if req.arrival_sim_us is not None:
-                    start = max(start, req.arrival_sim_us)
-                req.start_sim_us = start
-                error: Optional[str] = None
-                try:
-                    if req.trace is not None:
-                        # Route every span the device opens (sanitize_gate,
-                        # dispatch:*, chunk, fold, jit:compile) into this
-                        # request's tree, whatever sink is installed.
-                        with req.trace.active(), \
-                                trace_span("serve:request", request=req.id,
-                                           workload=req.workload,
-                                           device=self.index,
-                                           batch=batch.id, position=pos):
-                            self._run_item(item, pooled)
-                    else:
-                        with trace_span("serve:request", request=req.id,
-                                        workload=req.workload,
-                                        device=self.index):
-                            self._run_item(item, pooled)
-                except Exception as exc:  # noqa: BLE001 - isolate requests
-                    error = f"{type(exc).__name__}: {exc}"
-                # Failed requests occupied their queue slot but are
-                # charged no simulated service.
-                if error is None:
-                    req.overhead_sim_us = overhead_us if req.launches else 0.0
-                    served = req.service_sim_us
-                    self.sim_clock_us = start + served
-                    batch_busy_us += served
-                req.t_done_wall = time.perf_counter()
-                if error is None:
-                    req.finish(RequestStatus.DONE)
-                else:
-                    req.finish(RequestStatus.FAILED, error)
-                self.requests_done += 1
-                cluster._request_finished(req, self)
-            self.batches_done += 1
-            self._note_served(batch.estimate_us, batch_busy_us)
-            cluster._batch_finished(batch, self, batch_busy_us)
-
-    def _run_item(self, item: WorkItem, pooled) -> None:
-        req = item.request
-        device = self.device
-        n_surfaces = len(device.surfaces)
-        hits0 = device.profile.compile_cache_hits
-        misses0 = device.profile.compile_cache_misses
-        n_san0 = len(device.sanitizer_results)
-        try:
-            if item.kind == "compiled":
-                launch = item.launch
-                surfaces, scalars = launch.bind(device)
-                kernel = device.compile(launch.body, launch.name,
-                                        launch.sig, launch.scalar_params)
-                run = device.run_compiled(kernel, launch.grid, surfaces,
-                                          scalars=scalars, name=launch.name,
-                                          executor=pooled,
-                                          validate=self.cluster.validate)
-                req.kernel_sim_us = run.timing.time_us
-                req.dram_bytes = int(run.timing.dram_bytes)
-                req.launches = 1
-                req.tier = run.path
-                if launch.finish is not None:
-                    req.result = launch.finish(surfaces)
-            elif item.kind == "tuned":
-                self._run_tuned(item)
-            else:
-                wrun = item.runner(device)
-                req.kernel_sim_us = wrun.kernel_time_us
-                # Eager workloads may enqueue many kernels; their own
-                # pipelined overhead beyond the first launch is theirs.
-                req.kernel_sim_us += max(
-                    0.0, wrun.launch_overhead_us -
-                    device.machine.launch_overhead_us)
-                req.dram_bytes = int(sum(
-                    r.timing.dram_bytes
-                    for r in device.runs[-wrun.launches:])) \
-                    if wrun.launches else 0
-                req.launches = wrun.launches
-                req.result = wrun.name
-                req.tier = "eager"
-        finally:
-            req.cache_hits = device.profile.compile_cache_hits - hits0
-            req.cache_misses = device.profile.compile_cache_misses - misses0
-            new_results = device.sanitizer_results[n_san0:]
-            req.sanitized_launches = len(new_results)
-            req.sanitize_findings = [r.summary() for r in new_results
-                                     if not r.clean]
-            # Release this request's surfaces so a long-lived pooled
-            # device doesn't accumulate (and re-scan) dead bindings.
-            del device.surfaces[n_surfaces:]
-
-    def _run_tuned(self, item: WorkItem) -> None:
-        """Serve a tuned request: resolve the family against THIS
-        device's machine in the cluster's tuned registry (falling back
-        to the family's hand-tuned default point) and run that variant.
-        """
-        from repro.tune.workloads import get_tunable
-        req = item.request
-        device = self.device
-        task = item.task
-        wl = get_tunable(task.family)
-        entry = None
-        if self.cluster.tuned is not None:
-            entry = self.cluster.tuned.lookup(task.family, task.problem,
-                                              device.machine.name)
-        point = dict(entry.point) if entry is not None \
-            else wl.space_for(task.problem).default_point()
-        variant = wl.variant(task.problem, point)
-        runs0 = len(device.runs)
-        t0 = device.kernel_time_us
-        with trace_span("tuned_variant", family=task.family,
-                        variant=variant.label, kernel=variant.kernel_name,
-                        machine=device.machine.name,
-                        tuned=entry is not None):
-            out = variant.run(device, task.inputs)
-        if task.check:
-            expect = wl.reference(task.problem, task.inputs)
-            if not np.array_equal(out, expect):
-                raise AssertionError(
-                    f"tuned {task.family} variant {variant.label} output "
-                    f"does not match the reference oracle")
-        req.kernel_sim_us = device.kernel_time_us - t0
-        req.launches = len(device.runs) - runs0
-        req.dram_bytes = int(sum(r.timing.dram_bytes
-                                 for r in device.runs[runs0:]))
-        req.tier = "tuned"
-        req.variant = variant.label
-        req.result = f"{task.family}:{variant.label}"
-        vkey = f"{task.family}:{variant.label}"
-        self.variants_served[vkey] = self.variants_served.get(vkey, 0) + 1
+        """The least-loaded metric: committed simulated busy time."""
+        return self.busy_sim_us
 
 
 class ServeCluster:
@@ -283,8 +100,6 @@ class ServeCluster:
                  queue_capacity: int = 512,
                  high_watermark: Optional[int] = None,
                  lanes: bool = False,
-                 dispatch_window: int = 64,
-                 batch_linger_s: float = 0.001,
                  obs=None,
                  validate: str = "first",
                  slo=None,
@@ -329,8 +144,6 @@ class ServeCluster:
                                            registry=self.registry)
         else:
             self.recorder = None
-        self.dispatch_window = dispatch_window
-        self.batch_linger_s = batch_linger_s
         #: a single MachineConfig builds a homogeneous pool; a sequence
         #: is striped round-robin across workers (device i gets
         #: machines[i % len]) for mixed-generation clusters.
@@ -348,24 +161,25 @@ class ServeCluster:
             tuned = TunedRegistry.load(tuned)
         self.tuned = tuned
         self.workers = [
-            DeviceWorker(i, Device(machines[i % len(machines)],
-                                   obs=self.obs), self)
+            DeviceWorker(i, Device(machines[i % len(machines)], obs=self.obs))
             for i in range(num_devices)]
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatcher", daemon=True)
+        #: requests the serving thread takes per pass: enough for a full
+        #: batch on every device; the rest waits in the queue, in lane
+        #: order and under backpressure.
+        self.window = self.batcher.max_batch * num_devices
+        self._thread = threading.Thread(
+            target=self._serve_loop, name="serve", daemon=True)
+        #: admitted requests not yet completed (counted before enqueue).
         self._outstanding = 0
         self._done_cv = threading.Condition()
         self._started = False
         self._stopped = False
         self._t_start = time.perf_counter()
-        #: per-workload EMA of simulated service, for load estimates.
-        self._service_est_us: Dict[str, float] = {}
-        self._est_lock = threading.Lock()
+        #: finished requests, appended by the serving thread only.
         self.completed: List[Request] = []
-        self._completed_lock = threading.Lock()
         #: optional completion callback (finished Request -> None), run
-        #: on the finishing worker thread before the request is counted
-        #: drained — the shard worker ships completions through it.
+        #: on the serving thread before the request is counted drained —
+        #: the shard worker ships completions through it.
         self.on_complete = None
 
         self._m_requests = {
@@ -395,11 +209,8 @@ class ServeCluster:
             # Warm every device's kernel cache with its own machine's
             # tuned winners before the first request arrives.
             for w in self.workers:
-                with w.lock:
-                    self.tuned.preseed(w.device)
-        for w in self.workers:
-            w.start()
-        self._dispatcher.start()
+                self.tuned.preseed(w.device)
+        self._thread.start()
         return self
 
     def __enter__(self) -> "ServeCluster":
@@ -414,11 +225,7 @@ class ServeCluster:
         self._stopped = True
         self.queue.close()
         if self._started and wait:
-            self._dispatcher.join()
-            for w in self.workers:
-                w.inbox.put(_SHUTDOWN)
-            for w in self.workers:
-                w.join()
+            self._thread.join()
 
     @property
     def num_devices(self) -> int:
@@ -454,9 +261,15 @@ class ServeCluster:
         if deadline_ms is not None:
             req.deadline_wall_s = time.perf_counter() + deadline_ms / 1e3
         self._mint_trace(req)
-        self.queue.submit(req, block=block, timeout=timeout)
+        # Count the request before it can reach the serving thread, so
+        # its completion can never be settled before it was counted.
         with self._done_cv:
             self._outstanding += 1
+        try:
+            self.queue.submit(req, block=block, timeout=timeout)
+        except (Backpressure, ShutDown):
+            self._settle()
+            raise
         return req
 
     def _mint_trace(self, req: Request) -> Request:
@@ -473,15 +286,19 @@ class ServeCluster:
             return self._done_cv.wait_for(
                 lambda: self._outstanding == 0, timeout)
 
+    def _settle(self) -> None:
+        with self._done_cv:
+            self._outstanding -= 1
+            self._done_cv.notify_all()
+
     # -- race-verdict sharing ----------------------------------------------
 
     def drain_race_verdicts(self) -> list:
         """(kernel name, RaceVerdict) pairs newly produced by this
         cluster's devices since the last drain.
 
-        Lock-free (each device's drain is atomic pops), so the shard
-        worker can call it from its completion callback while device
-        threads keep running.
+        Lock-free (each device's drain is atomic pops), so it is safe
+        from the completion callback and from any other thread.
         """
         fresh = []
         for w in self.workers:
@@ -491,71 +308,54 @@ class ServeCluster:
     def adopt_race_verdicts(self, pairs) -> None:
         """Adopt (kernel name, RaceVerdict) pairs onto every device, so
         a kernel another cluster already sanitized is wide-admitted here
-        without a redundant sanitized first launch."""
+        without a redundant sanitized first launch.
+
+        Safe while the serving thread runs: adoption is a single dict
+        store per kernel, and a launch reads the verdict with one get.
+        """
         for w in self.workers:
-            with w.lock:
-                for kname, verdict in pairs:
-                    w.device.adopt_race_verdict(kname, verdict)
+            for kname, verdict in pairs:
+                w.device.adopt_race_verdict(kname, verdict)
 
-    # -- dispatcher --------------------------------------------------------
+    # -- serving thread ----------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _serve_loop(self) -> None:
         while True:
-            items = self.queue.take(max_items=self.dispatch_window,
-                                    timeout=0.1)
-            if not items:
-                if self.queue.closed and not len(self.queue):
-                    return
-                continue
-            if self.batcher.enabled and len(items) < self.dispatch_window \
-                    and self.batch_linger_s > 0:
-                # Linger briefly so near-simultaneous compatible requests
-                # can coalesce instead of heading out as singletons.
-                deadline = time.perf_counter() + self.batch_linger_s
-                while len(items) < self.dispatch_window:
-                    left = deadline - time.perf_counter()
-                    if left <= 0:
-                        break
-                    more = self.queue.take(
-                        max_items=self.dispatch_window - len(items),
-                        timeout=left)
-                    if not more:
-                        break
-                    items.extend(more)
-            tracer = get_tracer()
-            t_take = tracer.now_us()
-            for req in items:
-                if req.trace is not None and req.t_submit_wall is not None:
-                    req.trace.record("queue_wait",
-                                     tracer.to_us(req.t_submit_wall),
-                                     t_take,
-                                     depth=req.queue_depth_at_admit)
-            work: List[WorkItem] = []
-            for req in items:
-                item = self._resolve(req)
-                if item is not None:
-                    work.append(item)
-            t_form0 = tracer.now_us()
-            batches = self.batcher.form(work)
-            t_form1 = tracer.now_us()
-            for batch in batches:
-                idx = self.policy.select(batch, self.workers)
-                batch.estimate_us = self._estimate_batch_us(batch)
-                self.workers[idx].note_assigned(batch.estimate_us)
-                self._m_batches.inc()
-                if batch.size > 1:
-                    self._m_coalesced.inc(batch.size - 1)
-                t_sched = tracer.now_us()
-                for pos, it in enumerate(batch.items):
-                    tr = it.request.trace
-                    if tr is None:
-                        continue
-                    tr.record("batch_assemble", t_form0, t_form1,
-                              batch=batch.id, batch_size=batch.size,
-                              position=pos)
-                    tr.record("schedule", t_form1, t_sched,
-                              policy=self.policy.name, device=idx)
-                self.workers[idx].inbox.put(batch)
+            reqs = self.queue.take(max_items=self.window)
+            if not reqs:  # closed and drained
+                return
+            self._serve_window(reqs)
+
+    def _serve_window(self, reqs: List[Request]) -> List[Batch]:
+        """Serve one window taken off the queue: stamp its queue wait,
+        resolve and batch it, then place, run and complete every batch."""
+        tracer = get_tracer()
+        t_take = tracer.now_us()
+        for req in reqs:
+            if req.trace is not None and req.t_submit_wall is not None:
+                req.trace.record("queue_wait",
+                                 tracer.to_us(req.t_submit_wall), t_take,
+                                 depth=req.queue_depth_at_admit)
+        work = [item for item in map(self._resolve, reqs)
+                if item is not None]
+        t_form0 = tracer.now_us()
+        batches = self.batcher.form(work)
+        t_form1 = tracer.now_us()
+        for batch in batches:
+            t_sched0 = tracer.now_us()
+            worker = self.workers[self.policy.select(batch, self.workers)]
+            t_sched1 = tracer.now_us()
+            for pos, it in enumerate(batch.items):
+                tr = it.request.trace
+                if tr is None:
+                    continue
+                tr.record("batch_assemble", t_form0, t_form1,
+                          batch=batch.id, batch_size=batch.size,
+                          position=pos)
+                tr.record("schedule", t_sched0, t_sched1,
+                          policy=self.policy.name, device=worker.index)
+            self._run_batch(batch, worker)
+        return batches
 
     def _resolve(self, req: Request) -> Optional[WorkItem]:
         try:
@@ -563,7 +363,7 @@ class ServeCluster:
             made = wl.make(req.params)
         except Exception as exc:  # noqa: BLE001 - bad request, not a crash
             req.finish(RequestStatus.FAILED, f"{type(exc).__name__}: {exc}")
-            self._request_finished(req, None)
+            self._request_finished(req)
             return None
         if wl.kind == "compiled":
             return WorkItem(request=req, kind="compiled", launch=made)
@@ -571,18 +371,170 @@ class ServeCluster:
             return WorkItem(request=req, kind="tuned", task=made)
         return WorkItem(request=req, kind="eager", runner=made)
 
-    def _estimate_batch_us(self, batch: Batch) -> float:
-        with self._est_lock:
-            est = sum(self._service_est_us.get(it.request.workload, 0.0)
-                      for it in batch.items)
-        machine = self.workers[0].device.machine
-        return est + machine.launch_overhead_us \
-            + (batch.size - 1) * machine.pipelined_launch_us
+    # -- batch execution ---------------------------------------------------
 
-    # -- completion callbacks (worker threads) -----------------------------
+    def _run_batch(self, batch: Batch, worker: DeviceWorker) -> None:
+        machine = worker.device.machine
+        with trace_span("serve:batch", device=worker.index,
+                        kernel=batch.kernel_name, size=batch.size):
+            batch_busy_us = 0.0
+            # Pooled JIT-capable wide executor: coalesced compiled
+            # batches reuse one grid-vectorized executor across the
+            # whole batch, and run_compiled binds the kernel's cached
+            # megakernel into it so every request after the first skips
+            # both plan construction and JIT compilation; run_compiled
+            # falls back to a fresh scalar path for programs the wide
+            # path cannot vectorize.
+            pooled = JitTracingExecutor() if (
+                batch.size > 1 and batch.items[0].kind == "compiled") \
+                else None
+            for pos, item in enumerate(batch.items):
+                req = item.request
+                req.status = RequestStatus.RUNNING
+                req.t_dispatch_wall = time.perf_counter()
+                req.device_index = worker.index
+                req.batch_id = batch.id
+                req.batch_size = batch.size
+                overhead_us = machine.launch_overhead_us if pos == 0 \
+                    else machine.pipelined_launch_us
+                start = worker.sim_clock_us
+                if req.arrival_sim_us is not None:
+                    start = max(start, req.arrival_sim_us)
+                req.start_sim_us = start
+                error: Optional[str] = None
+                # Route every span the device opens (sanitize_gate,
+                # dispatch:*, chunk, fold, jit:compile) into this
+                # request's tree, whatever sink is installed.
+                active = req.trace.active() if req.trace is not None \
+                    else nullcontext()
+                try:
+                    with active, trace_span(
+                            "serve:request", request=req.id,
+                            workload=req.workload, device=worker.index,
+                            batch=batch.id, position=pos):
+                        self._run_item(item, worker, pooled)
+                except Exception as exc:  # noqa: BLE001 - isolate requests
+                    error = f"{type(exc).__name__}: {exc}"
+                # Failed requests occupied their queue slot but are
+                # charged no simulated service.
+                if error is None:
+                    req.overhead_sim_us = overhead_us if req.launches else 0.0
+                    served = req.service_sim_us
+                    worker.sim_clock_us = start + served
+                    batch_busy_us += served
+                req.t_done_wall = time.perf_counter()
+                if error is None:
+                    req.finish(RequestStatus.DONE)
+                else:
+                    req.finish(RequestStatus.FAILED, error)
+                worker.requests_done += 1
+                self._request_finished(req)
+            worker.batches_done += 1
+            worker.busy_sim_us += batch_busy_us
+            self._m_batches.inc()
+            if batch.size > 1:
+                self._m_coalesced.inc(batch.size - 1)
+            self.registry.counter("serve_device_busy_sim_us",
+                                  device=worker.index).inc(batch_busy_us)
+            self.registry.counter("serve_device_requests",
+                                  device=worker.index).inc(batch.size)
 
-    def _request_finished(self, req: Request,
-                          worker: Optional[DeviceWorker]) -> None:
+    def _run_item(self, item: WorkItem, worker: DeviceWorker,
+                  pooled) -> None:
+        req = item.request
+        device = worker.device
+        n_surfaces = len(device.surfaces)
+        hits0 = device.profile.compile_cache_hits
+        misses0 = device.profile.compile_cache_misses
+        n_san0 = len(device.sanitizer_results)
+        try:
+            if item.kind == "compiled":
+                launch = item.launch
+                surfaces, scalars = launch.bind(device)
+                kernel = device.compile(launch.body, launch.name,
+                                        launch.sig, launch.scalar_params)
+                run = device.run_compiled(kernel, launch.grid, surfaces,
+                                          scalars=scalars, name=launch.name,
+                                          executor=pooled,
+                                          validate=self.validate)
+                req.kernel_sim_us = run.timing.time_us
+                req.dram_bytes = int(run.timing.dram_bytes)
+                req.launches = 1
+                req.tier = run.path
+                if launch.finish is not None:
+                    req.result = launch.finish(surfaces)
+            elif item.kind == "tuned":
+                self._run_tuned(item, worker)
+            else:
+                wrun = item.runner(device)
+                req.kernel_sim_us = wrun.kernel_time_us
+                # Eager workloads may enqueue many kernels; their own
+                # pipelined overhead beyond the first launch is theirs.
+                req.kernel_sim_us += max(
+                    0.0, wrun.launch_overhead_us -
+                    device.machine.launch_overhead_us)
+                req.dram_bytes = int(sum(
+                    r.timing.dram_bytes
+                    for r in device.runs[-wrun.launches:])) \
+                    if wrun.launches else 0
+                req.launches = wrun.launches
+                req.result = wrun.name
+                req.tier = "eager"
+        finally:
+            req.cache_hits = device.profile.compile_cache_hits - hits0
+            req.cache_misses = device.profile.compile_cache_misses - misses0
+            new_results = device.sanitizer_results[n_san0:]
+            req.sanitized_launches = len(new_results)
+            req.sanitize_findings = [r.summary() for r in new_results
+                                     if not r.clean]
+            # Release this request's surfaces so a long-lived pooled
+            # device doesn't accumulate (and re-scan) dead bindings.
+            del device.surfaces[n_surfaces:]
+
+    def _run_tuned(self, item: WorkItem, worker: DeviceWorker) -> None:
+        """Serve a tuned request: resolve the family against the
+        worker's machine in the cluster's tuned registry (falling back
+        to the family's hand-tuned default point) and run that variant.
+        """
+        from repro.tune.workloads import get_tunable
+        req = item.request
+        device = worker.device
+        task = item.task
+        wl = get_tunable(task.family)
+        entry = None
+        if self.tuned is not None:
+            entry = self.tuned.lookup(task.family, task.problem,
+                                      device.machine.name)
+        point = dict(entry.point) if entry is not None \
+            else wl.space_for(task.problem).default_point()
+        variant = wl.variant(task.problem, point)
+        runs0 = len(device.runs)
+        t0 = device.kernel_time_us
+        with trace_span("tuned_variant", family=task.family,
+                        variant=variant.label, kernel=variant.kernel_name,
+                        machine=device.machine.name,
+                        tuned=entry is not None):
+            out = variant.run(device, task.inputs)
+        if task.check:
+            expect = wl.reference(task.problem, task.inputs)
+            if not np.array_equal(out, expect):
+                raise AssertionError(
+                    f"tuned {task.family} variant {variant.label} output "
+                    f"does not match the reference oracle")
+        req.kernel_sim_us = device.kernel_time_us - t0
+        req.launches = len(device.runs) - runs0
+        req.dram_bytes = int(sum(r.timing.dram_bytes
+                                 for r in device.runs[runs0:]))
+        req.tier = "tuned"
+        req.variant = variant.label
+        req.result = f"{task.family}:{variant.label}"
+        vkey = f"{task.family}:{variant.label}"
+        worker.variants_served[vkey] = \
+            worker.variants_served.get(vkey, 0) + 1
+
+    # -- completion --------------------------------------------------------
+
+    def _request_finished(self, req: Request) -> None:
         self._m_requests[req.status].inc()
         if self.slo is not None:
             req.slo_breached = self.slo.observe_request(req)
@@ -603,21 +555,13 @@ class ServeCluster:
             self.registry.histogram(
                 "serve_latency_sim_us",
                 policy=pname).observe(req.latency_sim_us)
-            with self._est_lock:
-                prev = self._service_est_us.get(req.workload)
-                sample = req.kernel_sim_us
-                self._service_est_us[req.workload] = sample if prev is None \
-                    else prev + 0.3 * (sample - prev)
-        with self._completed_lock:
-            self.completed.append(req)
+        self.completed.append(req)
         if self.on_complete is not None:
             try:
                 self.on_complete(req)
             except Exception:  # noqa: BLE001 - shipping must not wedge drain
                 pass
-        with self._done_cv:
-            self._outstanding -= 1
-            self._done_cv.notify_all()
+        self._settle()
 
     def _retire_trace(self, req: Request) -> None:
         """Seal the request's span tree into the flight recorder, auto-
@@ -642,13 +586,6 @@ class ServeCluster:
             self.recorder.dump(tr, DumpReason.SANITIZER,
                                detail="; ".join(req.sanitize_findings))
 
-    def _batch_finished(self, batch: Batch, worker: DeviceWorker,
-                        busy_us: float) -> None:
-        self.registry.counter("serve_device_busy_sim_us",
-                              device=worker.index).inc(busy_us)
-        self.registry.counter("serve_device_requests",
-                              device=worker.index).inc(batch.size)
-
     # -- reporting ---------------------------------------------------------
 
     def export_traces(self, path_or_file) -> None:
@@ -659,8 +596,7 @@ class ServeCluster:
 
     def report(self) -> Dict[str, Any]:
         """Aggregate serving statistics over everything completed so far."""
-        with self._completed_lock:
-            reqs = list(self.completed)
+        reqs = list(self.completed)  # one atomic copy under the GIL
         done = [r for r in reqs if r.status is RequestStatus.DONE]
         wall_s = time.perf_counter() - self._t_start
         by_status = {s.value: sum(1 for r in reqs if r.status is s)

@@ -5,7 +5,7 @@ The cluster front door.  Admission follows a watermark contract:
 - depth < ``high_watermark``: the request is admitted immediately.
 - depth >= ``high_watermark`` (or the queue is at ``capacity``): the
   submit is **rejected** with :class:`Backpressure`, carrying a
-  ``retry_after_s`` hint derived from the dispatcher's observed drain
+  ``retry_after_s`` hint derived from the consumer's observed drain
   rate — the serving-layer equivalent of HTTP 429 + ``Retry-After``.
   ``submit(block=True)`` instead parks the caller until space frees
   (the closed-loop load-generator mode).
@@ -48,7 +48,7 @@ class ShutDown(RuntimeError):
 #: Per-request retry hint used while the drain rate is unmeasured (no
 #: ``take()`` has completed yet — first requests after start or reset).
 #: Without it the hint collapses to the 1 ms floor and rejected clients
-#: hot-loop against a dispatcher that has not even woken up.
+#: hot-loop against a consumer that has not even woken up.
 DEFAULT_RETRY_S = 0.02
 
 #: Bounds every retry hint, measured or not.
@@ -101,7 +101,7 @@ class SubmissionQueue:
     # -- producer side ----------------------------------------------------
 
     def retry_after_s(self, overflow: int) -> float:
-        """Backpressure hint: time for the dispatcher to drain ``overflow``.
+        """Backpressure hint: time for the consumer to drain ``overflow``.
 
         While the drain rate is unmeasured (nothing taken yet) or the
         EMA has degenerated (zero / non-finite interval), the hint is a
@@ -155,7 +155,7 @@ class SubmissionQueue:
         """Block for at least one request, then drain up to ``max_items``.
 
         Returns an empty list only when the queue is closed and empty
-        (dispatcher shutdown) or the timeout expired.
+        (consumer shutdown) or the timeout expired.
         """
         with self._cv:
             ok = self._cv.wait_for(

@@ -5,9 +5,9 @@ A :class:`Request` names a workload (any key registered in
 it as it moves through the pipeline — submitted, dispatched to a device,
 completed — in two time domains:
 
-- **wall clock** (``time.perf_counter``): what the Python worker threads
-  actually took; this is the latency a caller of :meth:`ServeCluster.
-  submit` observes.
+- **wall clock** (``time.perf_counter``): what the cluster's serving
+  thread actually took, queueing included; this is the latency a caller
+  of :meth:`ServeCluster.submit` observes.
 - **simulated microseconds**: the analytic cost-model time the request
   occupied its device, including its share of launch overhead (one full
   driver overhead for a batch head, the pipelined gap for coalesced
@@ -29,7 +29,7 @@ _ids = itertools.count()
 class RequestStatus(Enum):
     PENDING = "pending"      # created, not yet admitted
     QUEUED = "queued"        # admitted into the submission queue
-    RUNNING = "running"      # dispatched to a device worker
+    RUNNING = "running"      # running on a device
     DONE = "done"            # completed successfully
     REJECTED = "rejected"    # refused at admission (backpressure)
     FAILED = "failed"        # raised during execution

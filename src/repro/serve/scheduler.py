@@ -1,16 +1,18 @@
 """Scheduling policies: which device serves the next batch.
 
-A policy sees the list of device workers (their accumulated simulated
-busy time, queued estimate, and kernel cache) and picks an index for
-each :class:`~repro.serve.batcher.Batch` the dispatcher formed.  All
+A policy sees the list of per-device states (their committed simulated
+busy time and kernel cache) and picks an index for each
+:class:`~repro.serve.batcher.Batch` the serving thread formed.  All
 policies preserve FIFO dispatch order — they choose *where*, never
 *when*.
 
 - :class:`RoundRobinPolicy` (``"round-robin"``, alias ``"fifo"``):
   rotate through devices in submission order.
 - :class:`LeastLoadedPolicy` (``"least-loaded"``): pick the device with
-  the smallest accumulated simulated busy time, counting an estimate
-  for batches already queued on its inbox; ties go to the lowest index.
+  the smallest committed simulated busy time; ties go to the lowest
+  index.  Every earlier batch has already run when a policy is asked,
+  so the busy times are exact and placement follows from the request
+  order alone.
 - :class:`CacheAffinityPolicy` (``"cache-affinity"``): steer a compiled
   kernel to the device whose :class:`KernelCache` already holds the
   program (first placement decided by least-loaded), so repeat kernels

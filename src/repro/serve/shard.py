@@ -1,9 +1,9 @@
 """Multi-process sharded serving: N worker processes, one front door.
 
-:class:`ServeCluster` scales across threads, but every device worker
-still shares one GIL — compiled-kernel serving is Python-bound, so a
-single process flattens out long before the machine does.  The
-:class:`ShardedCluster` breaks that ceiling::
+:class:`ServeCluster` runs all of its devices on one serving thread —
+compiled-kernel serving is Python-bound, so a single process uses one
+core however many simulated devices it holds.  The
+:class:`ShardedCluster` spreads the work across cores::
 
     submit() -> PriorityLaneQueue -> router thread -> shard 0..N-1
                  (lanes + EDF +        (affinity        (one process,

@@ -350,8 +350,8 @@ def _make_fig5(key: str):
 # A "tuned" request names an autotunable family (repro.tune.workloads)
 # instead of a concrete kernel.  Resolution stops at a TunedTask — the
 # *variant* is deliberately not chosen here, because batches form before
-# a device is picked: the DeviceWorker resolves the task against its own
-# machine's entry in the cluster's TunedRegistry, so the same request
+# a device is picked: the cluster resolves the task against the chosen
+# device's machine entry in its TunedRegistry, so the same request
 # stream dispatches different kernels on a Gen9 device than on a Gen12
 # or SIMD32 one.
 

@@ -16,10 +16,10 @@ import numpy as np
 from repro.isa.dtypes import DType
 from repro.sim.trace import MemEvent, MemKind, ThreadTrace
 
-# The active context is *Python-thread*-local: a serving cluster runs
-# one worker thread per simulated device, and each worker interprets
-# eager kernels on its own device — a process-global slot would let one
-# worker's deactivate() tear down another's mid-kernel.
+# The active context is *Python-thread*-local: two serving clusters in
+# one process each run eager kernels on their own serving thread, and a
+# host thread may run one directly meanwhile — a process-global slot
+# would let one thread's deactivate() tear down another's mid-kernel.
 _tls = threading.local()
 
 

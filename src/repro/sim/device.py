@@ -676,8 +676,8 @@ class Device:
         """Return and clear (name, verdict) pairs from local sanitized
         launches since the last drain, for broadcast to peer devices.
 
-        Pop-based so a serving thread can drain concurrently with the
-        device thread appending (list.pop(0)/append are atomic).
+        Pop-based so another thread can drain concurrently with the
+        launching thread appending (list.pop(0)/append are atomic).
         """
         fresh = []
         while self._fresh_verdicts:

@@ -50,22 +50,11 @@ register(ServeWorkload("test.racy", "compiled", _make_racy,
                        "deliberately racy kernel (tests only)"))
 
 
-def _run_direct(cluster, reqs):
-    """Drive requests through resolve -> batch -> execute without
-    starting the cluster threads (deterministic batching)."""
-    work = [w for w in (cluster._resolve(r) for r in reqs)
-            if w is not None]
-    batches = cluster.batcher.form(work)
-    for batch in batches:
-        cluster.workers[0]._execute(batch)
-    return batches
-
-
 def _submit_direct(cluster, workload, params=None):
     req = Request(workload=workload, params=dict(params or {}))
     cluster._mint_trace(req)
     cluster.queue.submit(req)
-    # take it right back out: the dispatcher thread isn't running
+    # take it right back out: the serving thread isn't running
     assert cluster.queue.take(max_items=1) == [req]
     return req
 
@@ -94,7 +83,7 @@ class TestRequestTrace:
                                validate="first")
         reqs = [_submit_direct(cluster, "saxpy", {"n": 64, "seed": 9})
                 for _ in range(3)]
-        batches = _run_direct(cluster, reqs)
+        batches = cluster._serve_window(reqs)
         assert len(batches) == 1 and batches[0].size == 3
 
         assert [r.tier for r in reqs] == ["sequential", "jit", "jit"]
@@ -271,7 +260,7 @@ class TestClusterAutoDump:
             num_devices=1,
             slo={"*": SLObjective(target_sim_us=1e-9)})  # always breach
         req = _submit_direct(cluster, "saxpy", {"n": 64})
-        _run_direct(cluster, [req])
+        cluster._serve_window([req])
         assert req.status is RequestStatus.DONE
         assert req.slo_breached is True
         (dump,) = cluster.recorder.dumps
@@ -284,7 +273,7 @@ class TestClusterAutoDump:
     def test_sanitizer_findings_auto_dump(self):
         cluster = ServeCluster(num_devices=1, validate="always")
         req = _submit_direct(cluster, "test.racy")
-        _run_direct(cluster, [req])
+        cluster._serve_window([req])
         assert req.status is RequestStatus.DONE
         assert req.sanitized_launches == 1
         assert req.sanitize_findings, "racy kernel produced no findings"
@@ -310,7 +299,7 @@ class TestClusterAutoDump:
         cluster = ServeCluster(num_devices=1, validate="first")
         reqs = [_submit_direct(cluster, "saxpy", {"n": 64, "seed": 3})
                 for _ in range(3)]
-        _run_direct(cluster, reqs)
+        cluster._serve_window(reqs)
         report = cluster.report()
         assert report["tiers"].get("sequential") == 1
         assert report["tiers"].get("jit") == 2
@@ -345,7 +334,7 @@ class TestLoadgenAndViewer:
                                dump_dir=str(tmp_path),
                                slo={"*": SLObjective(target_sim_us=1e-9)})
         req = _submit_direct(cluster, "saxpy", {"n": 64})
-        _run_direct(cluster, [req])
+        cluster._serve_window([req])
         (dump,) = cluster.recorder.dumps
         assert flight.main([dump.path]) == 0
         text = capsys.readouterr().out

@@ -8,6 +8,7 @@ for pooled reuse, and the shared message-geometry module.
 """
 
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,7 @@ from repro.compiler.cache import KernelCache
 from repro.isa import msg_geometry as geom
 from repro.serve import (
     Backpressure, DynamicBatcher, Request, RequestStatus, ServeCluster,
-    SubmissionQueue, make_policy, percentiles,
+    ShutDown, SubmissionQueue, make_policy, percentiles,
 )
 from repro.serve.batcher import WorkItem
 from repro.serve.loadgen import build_trace, run_loadgen
@@ -187,12 +188,9 @@ class TestClusterExecution:
         machine = worker.device.machine
         reqs = [Request(workload="saxpy", params={"n": 128, "seed": 9})
                 for _ in range(n)]
-        items = [cluster._resolve(r) for r in reqs]
-        assert all(i is not None for i in items)
-        batches = cluster.batcher.form(items)
-        assert len(batches) == 1 and batches[0].size == n
         clock0 = worker.sim_clock_us
-        worker._execute(batches[0])
+        batches = cluster._serve_window(reqs)
+        assert len(batches) == 1 and batches[0].size == n
         assert all(r.status is RequestStatus.DONE for r in reqs)
         overheads = [r.overhead_sim_us for r in reqs]
         assert overheads[0] == machine.launch_overhead_us
@@ -207,11 +205,10 @@ class TestClusterExecution:
 
     def test_batch_members_share_sim_timeline_sequentially(self):
         cluster = ServeCluster(num_devices=1, batching=True, max_batch=4)
-        worker = cluster.workers[0]
         reqs = [Request(workload="scale", params={"n": 128, "seed": i},
                         arrival_sim_us=0.0) for i in range(3)]
-        items = [cluster._resolve(r) for r in reqs]
-        worker._execute(cluster.batcher.form(items)[0])
+        (batch,) = cluster._serve_window(reqs)
+        assert batch.size == 3
         starts = [r.start_sim_us for r in reqs]
         assert starts == sorted(starts)
         assert starts[1] == pytest.approx(
@@ -271,6 +268,125 @@ class TestStressDeterminism:
         ratio = unbatched["sim"]["launch_overhead_us"] / \
             batched["sim"]["launch_overhead_us"]
         assert ratio >= 1.5
+
+
+def _sim_signature(policy, trace, devices=4):
+    """Every request's simulated placement and timing, plus the
+    report's simulated totals, for one unbatched replay of ``trace``."""
+    with ServeCluster(num_devices=devices, policy=policy, batching=False,
+                      queue_capacity=1024) as cluster:
+        reqs = [cluster.submit(e["workload"], e["params"],
+                               arrival_sim_us=e["arrival_sim_us"])
+                for e in trace]
+        assert cluster.drain(timeout=300.0)
+        report = cluster.report()
+    assert all(r.status is RequestStatus.DONE for r in reqs)
+    return ([(r.device_index, r.start_sim_us, r.overhead_sim_us,
+              r.kernel_sim_us) for r in reqs], report["sim"])
+
+
+class TestServingThread:
+    """One serving thread per cluster: lifecycle, lane order under
+    backlog, drain accounting, and placement that follows the trace."""
+
+    def test_start_runs_one_thread_and_shutdown_joins_it(self):
+        cluster = ServeCluster(num_devices=3)
+        before = set(threading.enumerate())
+        cluster.start()
+        started = set(threading.enumerate()) - before
+        assert len(started) == 1
+        (thread,) = started
+        req = cluster.submit("saxpy", {"n": 64, "seed": 1})
+        assert req.wait(30.0) and req.status is RequestStatus.DONE
+        cluster.shutdown()
+        assert not thread.is_alive()
+
+    def test_interactive_overtakes_queued_batch_lane(self):
+        """Backlog stays in the lane queue, so an interactive request
+        sent behind 40 batch-lane requests runs in the next window."""
+        with ServeCluster(num_devices=1, batching=False,
+                          lanes=True) as cluster:
+            warm = cluster.submit("saxpy", {"n": 64, "seed": 0})
+            assert warm.wait(30.0) and warm.status is RequestStatus.DONE
+            finished = []
+            holding, release = threading.Event(), threading.Event()
+
+            def hold_first(req):
+                finished.append(req)
+                if len(finished) == 1:
+                    holding.set()
+                    release.wait(30.0)
+
+            cluster.on_complete = hold_first
+            plug = cluster.submit("saxpy", {"n": 64, "seed": 1})
+            assert holding.wait(30.0)
+            batch = [cluster.submit("saxpy", {"n": 64, "seed": 2 + i},
+                                    lane="batch") for i in range(40)]
+            # Let the cluster pull whatever backlog it will before the
+            # interactive request arrives.
+            time.sleep(0.05)
+            urgent = cluster.submit("saxpy", {"n": 64, "seed": 99},
+                                    lane="interactive")
+            release.set()
+            assert cluster.drain(timeout=60.0)
+        assert finished[0] is plug
+        order = finished[1:]
+        assert len(order) == len(batch) + 1
+        assert order.index(urgent) < cluster.window
+
+    def test_drain_counts_request_before_it_is_enqueued(self):
+        """A request that completes before its submit() returns must
+        never let drain() report idle while another request runs."""
+        with ServeCluster(num_devices=1) as cluster:
+            warm = cluster.submit("saxpy", {"n": 64, "seed": 0})
+            assert warm.wait(30.0)
+            first_done, second_sent = threading.Event(), threading.Event()
+            release = threading.Event()
+            enqueue = cluster.queue.submit
+
+            def enqueue_then_complete(req, **kwargs):
+                out = enqueue(req, **kwargs)
+                if req.params.get("seed") == 1:
+                    assert req.wait(30.0)
+                    first_done.set()
+                    second_sent.wait(30.0)
+                return out
+
+            def hold_second(req):
+                if req.params.get("seed") == 2:
+                    release.wait(30.0)
+
+            cluster.queue.submit = enqueue_then_complete
+            cluster.on_complete = hold_second
+            client = threading.Thread(
+                target=cluster.submit, args=("saxpy", {"n": 64, "seed": 1}))
+            client.start()
+            assert first_done.wait(30.0)
+            second = cluster.submit("saxpy", {"n": 64, "seed": 2})
+            # the second request's completion is held open
+            idle = cluster.drain(timeout=0.2)
+            release.set()
+            second_sent.set()
+            client.join(30.0)
+            assert not client.is_alive()
+            assert not idle
+            assert cluster.drain(timeout=30.0)
+            assert second.status is RequestStatus.DONE
+
+    def test_refused_submit_is_not_left_outstanding(self):
+        cluster = ServeCluster(num_devices=1)
+        cluster.start()
+        cluster.shutdown()
+        with pytest.raises(ShutDown):
+            cluster.submit("saxpy", {"n": 64})
+        assert cluster.drain(timeout=1.0)
+
+    @pytest.mark.parametrize("policy", ["least-loaded", "cache-affinity"])
+    def test_simulated_placement_repeats_across_runs(self, policy):
+        trace = build_trace(7, 160, "compiled", sim_rate_rps=25000.0)
+        runs = [_sim_signature(policy, trace) for _ in range(3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[0][1]["launch_overhead_us"] > 0
 
 
 class TestKernelCacheThreadSafety:
