@@ -6,9 +6,9 @@ compiled workloads (the JIT SGEMM and the media-block linear filter /
 blur kernel) run the same launch through the top two dispatch tiers of
 ``Device.run_compiled``:
 
-- **wide**: the grid-vectorized interpreter (``wide=True, jit=False``)
-  — one interpreter round trip per instruction for the whole grid.
-- **jit**: the megakernel tier (``jit=True``) — the program is compiled
+- **wide**: the grid-vectorized interpreter (``tier="wide"``) — one
+  interpreter round trip per instruction for the whole grid.
+- **jit**: the megakernel tier (``tier="jit"``) — the program is compiled
   once to a generated Python function (:mod:`repro.isa.jit`) with all
   region plans, dtypes, and predication baked in, and each chunk
   executes with zero per-instruction dispatch.
@@ -43,12 +43,8 @@ TRIALS = 3
 _VEC = 16
 _BLUR_W, _BLUR_H = 32, 4
 
-#: run_compiled kwargs per dispatch tier.
-_MODES = {
-    "jit": dict(jit=True),
-    "wide": dict(wide=True, jit=False),
-    "scalar": dict(wide=False, jit=False),
-}
+#: run_compiled tier per benchmark mode.
+_TIERS = {"jit": "jit", "wide": "wide", "scalar": "sequential"}
 
 
 def _saxpy_body(cmx, xbuf, ybuf, tid):
@@ -93,7 +89,7 @@ def _sgemm_case(mn, k):
         r = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
                              scalars=lambda t: {"tx": t[0], "ty": t[1]},
                              name="cm_sgemm_jit", validate="off",
-                             **_MODES[mode])
+                             tier=_TIERS[mode])
         dt = time.perf_counter() - t0
         return dt, cbuf.to_numpy().copy(), r.timing
 
@@ -114,7 +110,7 @@ def _blur_case(bx, by):
         r = dev.run_compiled(kern, (bx, by), [buf],
                              scalars=lambda t: {"tx": t[0], "ty": t[1]},
                              name="jit_blur", validate="off",
-                             **_MODES[mode])
+                             tier=_TIERS[mode])
         dt = time.perf_counter() - t0
         return dt, buf.to_numpy().copy(), r.timing
 
@@ -135,7 +131,7 @@ def _saxpy_case(n_threads):
         r = dev.run_compiled(kern, (n_threads,), [xbuf, ybuf],
                              scalars=lambda t: {"tid": t[0]},
                              name="jit_saxpy", validate="off",
-                             **_MODES[mode])
+                             tier=_TIERS[mode])
         dt = time.perf_counter() - t0
         return dt, ybuf.to_numpy().copy(), r.timing
 

@@ -117,6 +117,17 @@ class FunctionalExecutor:
         """Swap the binding table (e.g. for the next launch)."""
         self.surfaces = dict(surfaces)
 
+    def release(self) -> None:
+        """Drop what the last launch bound: surfaces, plans, sanitizer.
+
+        A long-lived executor calls this between launches so it pins
+        none of a finished launch's state; the value-keyed operand
+        caches stay, since they depend only on instruction text.
+        """
+        self.surfaces = {}
+        self.plans = None
+        self.san = None
+
     # -- operand access ----------------------------------------------------
 
     def _src_plan(self, operand: RegOperand, n: int) -> np.ndarray:

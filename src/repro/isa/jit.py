@@ -23,11 +23,9 @@ executes the whole program with zero interpreter dispatch:
 - SEND instructions call pre-bound closures over the wide executor's
   vectorized message handlers.
 
-The same generated code object is executed twice with two different
-globals environments to produce a *functional* variant and a *traced*
-variant: they differ only in the ``_send{k}`` closures (the traced ones
-additionally mark cache lines and append per-thread
-:class:`~repro.isa.wide._WideEvent` records).  Timing does not run any
+The generated function's ``_send{k}`` closures execute each message
+and then mark its cache lines and append the per-thread
+:class:`~repro.isa.wide._WideEvent` records.  Timing does not run any
 per-instruction accounting at execution time: a static **template
 trace** is built once per (program, machine) by replaying the exact
 accounting sequence of :class:`~repro.sim.batch.TracingExecutor`
@@ -54,22 +52,23 @@ import numpy as np
 from repro.isa.dtypes import DType, convert, promote, signed, unsigned
 from repro.isa.executor import ExecutionError, FunctionalExecutor
 from repro.isa.grf import GRF_SIZE_BYTES, RegOperand
-from repro.isa.instructions import CondMod, Instruction, MathFn, MsgKind, Opcode
+from repro.isa.instructions import (
+    CF_OPCODES, CondMod, Instruction, MathFn, MsgKind, Opcode,
+)
 from repro.isa.msg_geometry import (
     media_block_messages, oword_block_messages, scatter_messages,
 )
 from repro.isa.plans import PlanTable
 from repro.isa.wide import (
-    _WIDE_MSG_KINDS, _WideEvent, WideExecutor, WideTracingExecutor,
-    wide_eligible,
+    _WIDE_MSG_KINDS, _WideEvent, WideTracingExecutor, wide_eligible,
 )
 from repro.obs.tracing import trace_span
 from repro.sim.batch import _alu_cost
 from repro.sim.trace import MemKind, ThreadTrace
 
 __all__ = [
-    "JitError", "JitKernel", "JitExecutor", "JitTracingExecutor",
-    "jit_eligible", "get_jit",
+    "JitError", "JitKernel", "JitTracingExecutor", "jit_eligible",
+    "jit_decline_reason", "get_jit",
 ]
 
 
@@ -104,6 +103,15 @@ def jit_eligible(program: Iterable[Instruction]) -> bool:
     if not wide_eligible(program):
         return False
     return all(inst.opcode in _JIT_OPCODES for inst in program)
+
+
+def jit_decline_reason(program: Iterable[Instruction]) -> str:
+    """Why the JIT refused a program: ``"control-flow"`` when it has
+    structured SIMD control flow (the code generator emits straight-line
+    code only), else ``"codegen"`` (an operand or opcode corner case)."""
+    if any(inst.opcode in CF_OPCODES for inst in program):
+        return "control-flow"
+    return "codegen"
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +397,6 @@ def _codegen(program, pb: FunctionalExecutor, env: dict):
 # ---------------------------------------------------------------------------
 
 
-def _functional_send(inst: Instruction):
-    def _send(ex, _inst=inst):
-        ex._execute_send(_inst)
-    return _send
-
-
 def _traced_send(inst: Instruction, k: int):
     def _send(ex, _inst=inst, _k=k):
         ex._execute_send(_inst)
@@ -575,8 +577,8 @@ class JitKernel:
     """A compiled megakernel for one program binding.
 
     Holds the generated source (``.source``, for inspection/tests), the
-    functional and traced function variants, the shared
-    :class:`PlanTable`, and a per-machine cache of template traces.
+    compiled function ``fn``, the shared :class:`PlanTable`, and a
+    per-machine cache of template traces.
     Like a plan table, a :class:`JitKernel` is valid for exactly the
     program *object* it was compiled from.
     """
@@ -592,18 +594,11 @@ class JitKernel:
         self._pb = FunctionalExecutor()
         env = {"np": np, "_cv": convert}
         self.source, self.n_sends = _codegen(program, self._pb, env)
-        code = compile(self.source, "<jit-megakernel>", "exec")
-        fenv, tenv = dict(env), dict(env)
-        k = 0
-        for inst in program:
-            if inst.opcode is Opcode.SEND:
-                fenv[f"_send{k}"] = _functional_send(inst)
-                tenv[f"_send{k}"] = _traced_send(inst, k)
-                k += 1
-        exec(code, fenv)
-        exec(code, tenv)
-        self.fn_functional = fenv["_mega"]
-        self.fn_traced = tenv["_mega"]
+        sends = [inst for inst in program if inst.opcode is Opcode.SEND]
+        for k, inst in enumerate(sends):
+            env[f"_send{k}"] = _traced_send(inst, k)
+        exec(compile(self.source, "<jit-megakernel>", "exec"), env)
+        self.fn = env["_mega"]
         self._templates: dict = {}
 
     def matches(self, program) -> bool:
@@ -617,41 +612,6 @@ class JitKernel:
         return tmpl
 
 
-def _refuse_sanitizer() -> None:
-    raise ExecutionError(
-        "sanitizer hooks cannot run on the JIT executor; "
-        "use sequential dispatch for sanitized launches")
-
-
-class JitExecutor(WideExecutor):
-    """A :class:`WideExecutor` that runs a bound megakernel.
-
-    ``run()`` dispatches to the compiled function when the program is
-    the one the bound :class:`JitKernel` was compiled from, and falls
-    back to the wide interpreter otherwise — binding can never change
-    results, only speed.
-    """
-
-    def __init__(self, surfaces: Mapping[int, object] | None = None,
-                 num_regs: int = 128, num_threads: int = 0) -> None:
-        super().__init__(surfaces, num_regs, num_threads)
-        self._jit: Optional[JitKernel] = None
-
-    def bind_jit(self, jitk: Optional[JitKernel]) -> None:
-        self._jit = jitk
-
-    def run(self, program) -> None:
-        jitk = self._jit
-        if jitk is None or not jitk.matches(program):
-            super().run(program)
-            return
-        if self.san is not None:
-            _refuse_sanitizer()
-        self.plans = jitk.plans
-        jitk.fn_functional(self)
-        self.instructions_executed += len(program)
-
-
 class JitTracingExecutor(WideTracingExecutor):
     """A :class:`WideTracingExecutor` that runs a bound megakernel.
 
@@ -662,6 +622,11 @@ class JitTracingExecutor(WideTracingExecutor):
     append the per-thread line counts, and the inherited
     :meth:`~repro.isa.wide.WideTracingExecutor.drain_traces` fan-out
     produces traces bit-identical to the wide interpreter's.
+
+    ``run()`` dispatches to the megakernel only when the program is the
+    one the bound :class:`JitKernel` was compiled from, and runs the
+    wide interpreter otherwise — binding can never change results, only
+    speed.  With no megakernel bound this *is* the wide interpreter.
     """
 
     def __init__(self, surfaces: Mapping[int, object] | None = None,
@@ -673,13 +638,20 @@ class JitTracingExecutor(WideTracingExecutor):
     def bind_jit(self, jitk: Optional[JitKernel]) -> None:
         self._jit = jitk
 
+    def release(self) -> None:
+        super().release()
+        self._jit = None
+        self._launch_events = []
+
     def run(self, program) -> None:
         jitk = self._jit
         if jitk is None or not jitk.matches(program):
             super().run(program)
             return
         if self.san is not None:
-            _refuse_sanitizer()
+            raise ExecutionError(
+                "sanitizer hooks cannot run on the JIT executor; "
+                "use sequential dispatch for sanitized launches")
         trace = self.trace
         if trace is None:
             raise ExecutionError(
@@ -695,7 +667,7 @@ class JitTracingExecutor(WideTracingExecutor):
                 ev, surface=(getattr(surfs.get(bti), "obs_label", None)
                              or f"bti{bti}"))
             for ev, bti in zip(tmpl.events, tmpl.btis)]
-        jitk.fn_traced(self)
+        jitk.fn(self)
         self.instructions_executed += len(program)
 
     def fold_chunk(self, acc, grf_bytes: int = 0) -> None:

@@ -230,6 +230,11 @@ class WideExecutor(FunctionalExecutor):
         self._rowm = None
         self._row_all = True
 
+    def release(self) -> None:
+        super().release()
+        # an idle executor holds no register rows; reset() reallocates
+        self.reset(0)
+
     def seed_scalar(self, byte_offset: int, values: np.ndarray) -> None:
         """Seed a 4-byte scalar parameter column (one int32 per thread)."""
         vals = np.ascontiguousarray(np.asarray(values, dtype=np.int32))
@@ -822,6 +827,13 @@ class WideTracingExecutor(WideExecutor, TracingExecutor):
         self._cf_trace = False
         self._cf_events = []
         self._pending_vec = {}
+
+    def release(self) -> None:
+        super().release()
+        self._wide_events = []
+        self._cf_events = []
+        self._pending_vec = {}
+        self._inst_vec = self._issue_vec = self._barrier_vec = None
 
     # -- control-flow tracing mode ----------------------------------------
 

@@ -7,7 +7,7 @@ the verdicts guard):
 - :class:`~repro.sanitize.race.RaceDetector` — cross-thread data races
   on surfaces/SLM with barrier-based happens-before; its
   :class:`~repro.sanitize.race.RaceVerdict` gates
-  ``Device.run_compiled(wide=None)``'s wide-path auto-selection.
+  ``Device.run_compiled(tier=None)``'s wide-path auto-selection.
 - OOB/clip sanitizer (:mod:`repro.sanitize.oob`) — counts
   silently-clamped out-of-bounds lanes per surface; strict mode raises
   :class:`~repro.memory.surfaces.OOBError`.

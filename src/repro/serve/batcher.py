@@ -9,9 +9,9 @@ same program, same signature, same grid shape — so a batch of N costs
 
     ``launch_overhead_us + (N - 1) * pipelined_launch_us + sum(kernel)``
 
-instead of ``N * launch_overhead_us + sum(kernel)``, and the cluster can
-drive all N launches through one pooled
-:class:`~repro.sim.batch.TracingExecutor` (shared operand plans).
+instead of ``N * launch_overhead_us + sum(kernel)``, and the cluster
+drives all N launches back to back on one device, whose reused
+executors share operand plans between them.
 
 Batching never reorders across a key: members keep their FIFO order,
 and batches are emitted in order of their *earliest* member, so a

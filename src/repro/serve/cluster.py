@@ -50,7 +50,6 @@ from repro.obs.recorder import DumpReason, FlightRecorder
 from repro.obs.request import RequestTrace, mint_trace_id
 from repro.obs.slo import SLOTracker
 from repro.obs.tracing import get_tracer, trace_span
-from repro.isa.jit import JitTracingExecutor
 from repro.sim.device import Device
 from repro.sim.machine import GEN11_ICL, MachineConfig
 
@@ -378,16 +377,10 @@ class ServeCluster:
         with trace_span("serve:batch", device=worker.index,
                         kernel=batch.kernel_name, size=batch.size):
             batch_busy_us = 0.0
-            # Pooled JIT-capable wide executor: coalesced compiled
-            # batches reuse one grid-vectorized executor across the
-            # whole batch, and run_compiled binds the kernel's cached
-            # megakernel into it so every request after the first skips
-            # both plan construction and JIT compilation; run_compiled
-            # falls back to a fresh scalar path for programs the wide
-            # path cannot vectorize.
-            pooled = JitTracingExecutor() if (
-                batch.size > 1 and batch.items[0].kind == "compiled") \
-                else None
+            # Coalesced compiled requests run back to back on one
+            # device, whose run_compiled reuses its own executors and
+            # the kernel's cached plans and megakernel, so every request
+            # after the first skips plan construction and JIT builds.
             for pos, item in enumerate(batch.items):
                 req = item.request
                 req.status = RequestStatus.RUNNING
@@ -412,7 +405,7 @@ class ServeCluster:
                             "serve:request", request=req.id,
                             workload=req.workload, device=worker.index,
                             batch=batch.id, position=pos):
-                        self._run_item(item, worker, pooled)
+                        self._run_item(item, worker)
                 except Exception as exc:  # noqa: BLE001 - isolate requests
                     error = f"{type(exc).__name__}: {exc}"
                 # Failed requests occupied their queue slot but are
@@ -439,8 +432,7 @@ class ServeCluster:
             self.registry.counter("serve_device_requests",
                                   device=worker.index).inc(batch.size)
 
-    def _run_item(self, item: WorkItem, worker: DeviceWorker,
-                  pooled) -> None:
+    def _run_item(self, item: WorkItem, worker: DeviceWorker) -> None:
         req = item.request
         device = worker.device
         n_surfaces = len(device.surfaces)
@@ -455,7 +447,6 @@ class ServeCluster:
                                         launch.sig, launch.scalar_params)
                 run = device.run_compiled(kernel, launch.grid, surfaces,
                                           scalars=scalars, name=launch.name,
-                                          executor=pooled,
                                           validate=self.validate)
                 req.kernel_sim_us = run.timing.time_us
                 req.dram_bytes = int(run.timing.dram_bytes)
@@ -487,8 +478,8 @@ class ServeCluster:
             req.sanitized_launches = len(new_results)
             req.sanitize_findings = [r.summary() for r in new_results
                                      if not r.clean]
-            # Release this request's surfaces so a long-lived pooled
-            # device doesn't accumulate (and re-scan) dead bindings.
+            # Release this request's surfaces so a long-lived device
+            # doesn't accumulate (and re-scan) dead bindings.
             del device.surfaces[n_surfaces:]
 
     def _run_tuned(self, item: WorkItem, worker: DeviceWorker) -> None:

@@ -7,8 +7,9 @@ Two kinds of entries live in the registry:
   the request's input surfaces on the target device.  These go through
   ``Device.compile`` (per-device :class:`KernelCache`, so the
   cache-affinity policy has something to route on) and
-  ``Device.run_compiled`` (pooled executor), and same-kernel/same-grid
-  requests can be coalesced by the dynamic batcher.
+  ``Device.run_compiled`` (the device's reused executors), and
+  same-kernel/same-grid requests can be coalesced by the dynamic
+  batcher.
 - **eager** workloads resolve to a plain ``device -> output`` closure —
   any Figure 5 pair side from :func:`repro.report.figure5.
   workload_specs` can be served this way (``fig5.gemm``, ``fig5.spmv``,

@@ -95,6 +95,11 @@ class TracingExecutor(FunctionalExecutor):
         self.trace = trace
         self._pending_loads.clear()
 
+    def release(self) -> None:
+        super().release()
+        self.trace = None
+        self._pending_loads.clear()
+
     # -- load-use dependency tracking -------------------------------------
 
     def _src_regs(self, operand: RegOperand, n: int) -> tuple:

@@ -14,11 +14,12 @@ Two dispatch paths exist:
   retired trace into a :class:`~repro.sim.timing.TimingAccumulator` so
   memory stays O(1) in the grid size.
 - :meth:`Device.run_compiled` runs a
-  :class:`~repro.compiler.driver.CompiledKernel` over a grid using one
-  pooled :class:`~repro.sim.batch.TracingExecutor` whose operand plans
-  are shared by every thread (a compiled program is identical across
-  threads).  Combined with :meth:`Device.compile`'s kernel cache this is
-  the fast path for repeated launches.
+  :class:`~repro.compiler.driver.CompiledKernel` over a grid on one of
+  three tiers (``sequential``, ``wide``, ``jit``) through executors the
+  device owns and reuses for every launch, so operand plans are shared
+  by every thread (a compiled program is identical across threads) and
+  across launches.  Combined with :meth:`Device.compile`'s kernel cache
+  this is the fast path for repeated launches.
 
 Both paths are instrumented through :mod:`repro.obs`: dispatches open
 trace spans, per-kernel :class:`~repro.obs.breakdown.TimeBreakdown`
@@ -38,7 +39,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 import repro.sanitize as sanitize_mod
-from repro.isa.executor import FunctionalExecutor
 from repro.memory.surfaces import BufferSurface, Image2DSurface, Surface
 from repro.obs import get_observability
 from repro.obs.breakdown import BreakdownAccumulator, TimeBreakdown
@@ -50,6 +50,14 @@ from repro.sim.context import ThreadContext
 from repro.sim.machine import GEN11_ICL, MachineConfig
 from repro.sim.timing import KernelTiming, TimingAccumulator, time_kernel
 from repro.sim.trace import ThreadTrace
+
+#: Threads whose traces the sequential tier retires per chunk.
+CHUNK_THREADS = 64
+#: Threads (stacked GRFs + traces) live at once on the wide and JIT tiers.
+MAX_LIVE_THREADS = 1024
+#: The compiled dispatch tiers ``run_compiled(tier=...)`` can force; the
+#: same strings :attr:`KernelRun.path` reports.
+TIERS = ("sequential", "wide", "jit")
 
 
 @dataclass
@@ -102,6 +110,8 @@ class DeviceProfile:
             "jit_compiles", "megakernel JIT compilations")
         self._jit_cache_hits = self.registry.counter(
             "jit_cache_hits", "launches reusing a cached megakernel")
+        self._jit_declines = self.registry.counter(
+            "jit_declines", "kernels the JIT refused (ran wide instead)")
         #: per-tier launch counters (cm / sequential / wide / jit /
         #: external) — which dispatch tier actually ran each enqueue.
         self._tier_launches: Dict[str, Counter] = {}
@@ -194,6 +204,14 @@ class DeviceProfile:
     def jit_cache_hits(self, value: int) -> None:
         self._jit_cache_hits.inc(value - self._jit_cache_hits.value)
 
+    @property
+    def jit_declines(self) -> int:
+        return int(self._jit_declines.value)
+
+    @jit_declines.setter
+    def jit_declines(self, value: int) -> None:
+        self._jit_declines.inc(value - self._jit_declines.value)
+
     def note_live_traces(self, count: int) -> None:
         """Record an observed number of concurrently live traces."""
         self._peak_live_traces.set_max(count)
@@ -205,7 +223,8 @@ class DeviceProfile:
                 f"compile_cache_hits={self.compile_cache_hits}, "
                 f"compile_cache_misses={self.compile_cache_misses}, "
                 f"jit_compiles={self.jit_compiles}, "
-                f"jit_cache_hits={self.jit_cache_hits})")
+                f"jit_cache_hits={self.jit_cache_hits}, "
+                f"jit_declines={self.jit_declines})")
 
 
 class Device:
@@ -224,7 +243,7 @@ class Device:
         #: package unless the device actually compiles something).
         self.kernel_cache = None
         #: kernel identity -> (kernel, RaceVerdict) from sanitized
-        #: launches; consulted by ``run_compiled(wide=None)`` before
+        #: launches; consulted by ``run_compiled(tier=None)`` before
         #: taking the wide path.  Lifecycle matches the kernel cache
         #: (``reset(clear_cache=True)`` drops it).
         self._race_verdicts: dict = {}
@@ -241,6 +260,12 @@ class Device:
         #: per-surface-label OOB clipped-lane totals observed by this
         #: device's launches (counting mode; see repro.sanitize.oob).
         self.oob_lanes: Dict[str, int] = {}
+        #: the executors ``run_compiled`` reuses for every launch, built
+        #: on first use: a sequential TracingExecutor and a
+        #: JitTracingExecutor (the wide interpreter when no megakernel
+        #: is bound).  A device runs one launch at a time.
+        self._seq_ex = None
+        self._wide_ex = None
 
     # -- memory management -------------------------------------------------
 
@@ -360,14 +385,8 @@ class Device:
                                     Callable[[Tuple[int, ...]],
                                              Dict[str, int]], None] = None,
                      name: Optional[str] = None,
-                     chunk_threads: int = 64,
-                     collect_timing: bool = True,
-                     executor: Optional[TracingExecutor] = None,
-                     wide: Optional[bool] = None,
-                     jit: Optional[bool] = None,
-                     max_live_threads: int = 1024,
-                     validate: Optional[str] = None,
-                     ) -> Optional[KernelRun]:
+                     tier: Optional[str] = None,
+                     validate: Optional[str] = None) -> KernelRun:
         """Launch a :class:`CompiledKernel` over a grid of hardware threads.
 
         ``surfaces`` bind positionally to the kernel's surface params.
@@ -375,69 +394,59 @@ class Device:
         dict shared by every thread, or a callable mapping a thread id
         tuple to that thread's dict (how per-thread coordinates are fed).
 
-        Dispatch defaults to the *wide* path (``wide=None``): because a
-        compiled program's *static* instruction sequence is identical
+        ``tier`` selects the dispatch tier; it takes the same strings
+        :attr:`KernelRun.path` reports.  ``None`` (the default) is the
+        auto policy: sanitize gate, then the JIT tier if the program
+        compiles to a megakernel (:mod:`repro.isa.jit`), else the wide
+        interpreter (:mod:`repro.isa.wide`), else sequential.  Because
+        a compiled program's *static* instruction sequence is identical
         for every thread (divergence is execution masks, not skipped
-        instructions), a :class:`~repro.isa.wide.WideExecutor` stacks
-        all thread register files and executes each instruction once
-        for the whole grid — grouped by PC under divergent control
-        flow, chunked so at most ``max_live_threads`` threads
-        (GRFs + traces) are live at a time.  Per-thread traces are
-        reconstructed from the wide execution, so timing is
-        bit-identical to the sequential path.  ``wide=False`` forces
-        the sequential per-thread loop (one pooled
-        :class:`TracingExecutor`, retiring traces every
-        ``chunk_threads``); ``wide=True`` raises if the program is not
-        wide-eligible instead of silently falling back.
+        instructions), the wide and JIT tiers stack all thread register
+        files and execute each instruction once for the whole grid,
+        chunked so at most :data:`MAX_LIVE_THREADS` threads (GRFs +
+        traces) are live at a time.  Per-thread traces are
+        reconstructed from the wide execution, so results and timing
+        are bit-identical on every tier.  The sequential tier runs one
+        thread at a time, retiring traces every :data:`CHUNK_THREADS`.
 
-        The wide path is only bit-identical for *race-free* programs,
-        so auto-selection is gated by the sanitizer (``validate``,
-        default from :func:`repro.sanitize.default_validate` /
-        ``REPRO_SANITIZE``):
+        A forced ``tier="sequential"``, ``"wide"`` or ``"jit"`` pins
+        that tier and raises :class:`ValueError` if the program cannot
+        run on it.  ``"wide"`` keeps the interpreter even for
+        JIT-eligible programs.
 
-        - ``"first"`` — a kernel's first ``wide=None`` launch runs
-          sequentially with the race detector and uninitialized-GRF
-          tracker attached; the cached
-          :class:`~repro.sanitize.race.RaceVerdict` then admits
-          (``race_free``) or permanently refuses (conflicts found)
-          the wide path for subsequent launches.  Simulated timing is
-          identical either way — only wall-clock differs.
+        The wide and JIT tiers are only bit-identical for *race-free*
+        programs, so the auto policy is gated by the sanitizer
+        (``validate``, default from
+        :func:`repro.sanitize.default_validate` / ``REPRO_SANITIZE``):
+
+        - ``"first"`` — a kernel's first auto launch runs sequentially
+          with the race detector and uninitialized-GRF tracker
+          attached; the cached :class:`~repro.sanitize.race.RaceVerdict`
+          then admits (``race_free``) or permanently refuses (conflicts
+          found) the vector tiers for subsequent launches.  Simulated
+          timing is identical either way — only wall-clock differs.
         - ``"always"`` — every launch runs sanitized-sequential.
         - ``"off"`` — trust the caller; eligible programs go wide
           unchecked (the pre-sanitizer behaviour).
 
-        An explicit ``wide=True`` bypasses validation (the caller
-        asserts race freedom); ``wide=False`` under ``"first"`` stays
-        an unsanitized scalar launch so tests pinning scalar-path
-        internals see no hooks.
+        A forced ``"wide"`` or ``"jit"`` bypasses validation (the
+        caller asserts race freedom); ``"sequential"`` under
+        ``"first"`` stays an unsanitized scalar launch so tests pinning
+        scalar-path internals see no hooks.
 
-        On top of the wide path sits the **JIT tier** (``jit=None``,
-        the default): whenever a launch takes the wide path, the
-        program is compiled once to a Python megakernel
-        (:mod:`repro.isa.jit`) cached on the kernel object, and each
-        chunk executes with zero per-instruction dispatch.  Results
-        and simulated timing are bit-identical to both other tiers —
-        the JIT rides the same race-verdict gating as the wide path.
-        ``jit=False`` keeps the wide interpreter; ``jit=True`` forces
-        the JIT tier (implies the wide path, bypasses validation like
-        ``wide=True``, and raises if the program cannot be compiled).
-
-        With ``collect_timing=False`` the launch is functional only (no
-        traces, no :class:`KernelRun`) and returns ``None``.
-
-        ``executor`` optionally supplies an already-pooled
-        :class:`~repro.isa.wide.WideTracingExecutor` (or scalar
-        :class:`TracingExecutor`) to reuse *across* launches: the
-        serving layer's dynamic batcher passes one executor for a whole
-        batch of same-program requests so the memoized
-        operand/instruction plans are shared between requests, not just
-        between threads.  The executor is rebound to this launch's
-        surface table; a pooled wide executor falls back to a fresh
-        scalar path when the program is ineligible.
+        The device owns one sequential and one wide/JIT executor and
+        reuses them for every launch (their operand caches survive
+        between launches).  Each launch rebinds them to its surface
+        table and unbinds everything it bound when it ends, normally or
+        by an exception, so no executor pins a launch's surfaces,
+        plans, megakernel, sanitizer hooks or stacked register file.
         """
         from repro.compiler.finalizer import SCRATCH_BTI
-        from repro.isa.wide import WideTracingExecutor, ineligible_reason
+        from repro.isa.wide import ineligible_reason
 
+        if tier is not None and tier not in TIERS:
+            raise ValueError(f"tier must be None or one of {TIERS}, "
+                             f"got {tier!r}")
         kname = name or kernel.name
         self.begin_enqueue()
         table = {i: s for i, s in enumerate(surfaces)}
@@ -476,16 +485,12 @@ class Device:
         #: may the wide path be taken without a sanitized launch first?
         certified = mode == "off" or (verdict is not None
                                       and verdict.race_free)
-        if jit is True and wide is False:
-            raise ValueError(
-                f"{kname}: jit=True requires the wide path (wide=False "
-                f"was also requested)")
-        #: explicit vector-path requests bypass validation: the caller
-        #: asserts race freedom (jit=True implies the wide path).
-        forced = wide is True or jit is True
+        #: forced vector tiers bypass validation: the caller asserts
+        #: race freedom.
+        forced = tier == "wide" or tier == "jit"
         sanitize_now = not forced and (
             mode == "always"
-            or (mode == "first" and wide is None and eligible
+            or (mode == "first" and tier is None and eligible
                 and verdict is None))
 
         # The gate decision, tallied per launch and emitted as an
@@ -495,7 +500,7 @@ class Device:
             gate = "bypassed"          # caller asserted race freedom
         elif sanitize_now:
             gate = "sanitized"         # this launch runs under checkers
-        elif wide is False:
+        elif tier == "sequential":
             gate = "forced_scalar"     # caller pinned the scalar path
         elif not eligible:
             gate = "ineligible"        # program cannot vectorize
@@ -521,36 +526,15 @@ class Device:
         with trace_span("sanitize_gate", **gate_attrs):
             pass
 
-        if executor is not None and not collect_timing:
-            raise ValueError("pooled executors imply collect_timing")
-        pooled_wide = isinstance(executor, WideTracingExecutor)
-        if not sanitize_now:
-            if pooled_wide:
-                if eligible and wide is not False and (certified
-                                                      or jit is True):
-                    return self._run_compiled_wide(
-                        kernel, grid, table, scalar_bases, scalars,
-                        per_thread, fixed, kname, collect_timing,
-                        executor, max_live_threads, jit=jit)
-                if jit is True:
-                    raise ValueError(
-                        f"{kname}: program is not wide-eligible "
-                        f"(jit=True was requested)")
-                # ineligible or uncertified program: fresh scalar path
-                executor = None
-            elif (wide is True or jit is True
-                  or (wide is None and eligible and certified)):
-                if not eligible:
-                    which = "wide" if wide is True else "jit"
-                    raise ValueError(
-                        f"{kname}: program is not wide-eligible "
-                        f"({which}=True was requested)")
-                return self._run_compiled_wide(
-                    kernel, grid, table, scalar_bases, scalars, per_thread,
-                    fixed, kname, collect_timing, None, max_live_threads,
-                    jit=jit)
-        elif pooled_wide:
-            executor = None  # wide pool is unusable on a sanitized launch
+        if forced or (tier is None and not sanitize_now and eligible
+                      and certified):
+            if not eligible:
+                raise ValueError(
+                    f"{kname}: program is not wide-eligible "
+                    f"(tier={tier!r} was requested)")
+            return self._run_compiled_wide(
+                kernel, grid, table, scalar_bases, scalars, per_thread,
+                fixed, kname, tier)
 
         san = oob_base = None
         if sanitize_now:
@@ -566,67 +550,58 @@ class Device:
             scratch.obs_label = "scratch"
             table[SCRATCH_BTI] = scratch
 
-        # Functional-only launches skip the tracing subclass entirely.
-        if executor is not None:
-            executor.rebind(table)
-            ex = executor
-        else:
-            ex = TracingExecutor(table) if collect_timing else \
-                FunctionalExecutor(table)
-        if san is not None:
-            ex.san = san
-        acc = TimingAccumulator(self.machine) if collect_timing else None
+        ex = self._seq_ex
+        if ex is None:
+            ex = self._seq_ex = TracingExecutor()
+        ex.rebind(table)
+        ex.san = san
+        acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
-                if collect_timing and self.obs.breakdowns else None)
+                if self.obs.breakdowns else None)
         live: list[ThreadTrace] = []
         live_peak = 0
         n_threads = 0
-        with trace_span("dispatch", kernel=kname, path="compiled",
-                        grid=tuple(grid)), \
-                trace_span("dispatch:sequential", kernel=kname,
-                           grid=tuple(grid), chunk=0) as tier_span:
-            for thread_id in self._grid_ids(grid):
-                ex.reset()
-                if san is not None:
-                    san.begin_thread(thread_id)
-                if scratch is not None:
-                    scratch.bytes.fill(0)
-                if collect_timing:
+        try:
+            with trace_span("dispatch", kernel=kname, path="compiled",
+                            grid=tuple(grid)), \
+                    trace_span("dispatch:sequential", kernel=kname,
+                               grid=tuple(grid), chunk=0) as tier_span:
+                for thread_id in self._grid_ids(grid):
+                    ex.reset()
+                    if san is not None:
+                        san.begin_thread(thread_id)
+                    if scratch is not None:
+                        scratch.bytes.fill(0)
                     trace = ThreadTrace(self.machine)
                     ex.begin_thread(trace)
-                values = scalars(thread_id) if per_thread else fixed
-                for pname, base in scalar_bases:
-                    value = values.get(pname)
-                    if value is not None:
-                        ex.grf.write_bytes(
-                            base, np.asarray([value], dtype=np.int32))
-                        if san is not None:
-                            san.mark_grf_valid(base, 4)
-                ex.run(kernel.program)
-                n_threads += 1
-                if collect_timing:
+                    values = scalars(thread_id) if per_thread else fixed
+                    for pname, base in scalar_bases:
+                        value = values.get(pname)
+                        if value is not None:
+                            ex.grf.write_bytes(
+                                base, np.asarray([value], dtype=np.int32))
+                            if san is not None:
+                                san.mark_grf_valid(base, 4)
+                    ex.run(kernel.program)
+                    n_threads += 1
                     trace.note_grf(kernel.allocation.max_grf_bytes)
                     live.append(trace)
                     if len(live) > live_peak:
                         live_peak = len(live)
-                    if len(live) >= chunk_threads:
+                    if len(live) >= CHUNK_THREADS:
                         self._retire_chunk(acc, live, bacc, kernel=kname)
-                elif n_threads % max(chunk_threads, 1) == 0:
-                    self.profile.chunks_dispatched += 1
-            if live:
-                self._retire_chunk(acc, live, bacc, kernel=kname)
-            tier_span.set(threads=n_threads)
+                if live:
+                    self._retire_chunk(acc, live, bacc, kernel=kname)
+                tier_span.set(threads=n_threads)
+        finally:
+            ex.release()
         self.profile.threads_run += n_threads
         self.profile.note_live_traces(live_peak)
         self.profile.count_launch("sequential")
 
         if san is not None:
-            ex.san = None
             self._finish_sanitized(kernel, kname, san, oob_base)
         self._collect_oob(table.values())
-
-        if not collect_timing:
-            return None
         return self._record(acc.finalize(), kname, bacc, path="sequential")
 
     def _finish_sanitized(self, kernel, kname: str, san, oob_base) -> None:
@@ -706,13 +681,20 @@ class Device:
         """Resolve the kernel's cached JIT megakernel (compiling once).
 
         Returns ``None`` when the program is not JIT-eligible; updates
-        the device profile / metrics with compile-vs-hit accounting.
+        the device profile / metrics with compile-vs-hit accounting and
+        counts a decline once per kernel, when the JIT first refuses it.
         """
-        from repro.isa.jit import get_jit
+        from repro.isa.jit import get_jit, jit_decline_reason
 
         t0 = time.perf_counter()
         jitk, cached = get_jit(kernel)
         if jitk is None:
+            if not cached:
+                self.profile.jit_declines += 1
+                if self.obs.enabled:
+                    self.obs.registry.counter(
+                        "jit_declines", kernel=kname,
+                        reason=jit_decline_reason(kernel.program)).inc()
             return None
         if cached:
             self.profile.jit_cache_hits += 1
@@ -730,19 +712,17 @@ class Device:
 
     def _run_compiled_wide(self, kernel, grid, table, scalar_bases,
                            scalars, per_thread, fixed, kname: str,
-                           collect_timing: bool, executor,
-                           max_live_threads: int,
-                           jit: Optional[bool] = None) -> Optional[KernelRun]:
+                           tier: Optional[str]) -> KernelRun:
         """Grid-vectorized dispatch: each instruction runs once for a
-        whole chunk of threads (see :mod:`repro.isa.wide`)."""
+        whole chunk of threads (see :mod:`repro.isa.wide`), through the
+        kernel's megakernel unless ``tier="wide"`` pins the
+        interpreter."""
         from repro.compiler.finalizer import SCRATCH_BTI
-        from repro.isa.wide import (
-            WideExecutor, WideScratch, WideTracingExecutor,
-        )
+        from repro.isa.jit import JitTracingExecutor
+        from repro.isa.wide import WideScratch
 
         thread_ids = list(self._grid_ids(grid))
         total = len(thread_ids)
-        max_live = max(1, max_live_threads)
 
         # Scalar parameters become per-thread int32 columns, seeded into
         # the stacked GRF in one strided write per parameter per chunk.
@@ -765,54 +745,40 @@ class Device:
             scratch = WideScratch(0, kernel.allocation.scratch_bytes)
             table[SCRATCH_BTI] = scratch
 
-        jitk = self._jit_for(kernel, kname) if jit is not False else None
-        if jit is True and jitk is None:
+        jitk = None if tier == "wide" else self._jit_for(kernel, kname)
+        if tier == "jit" and jitk is None:
             raise ValueError(
                 f"{kname}: program is not JIT-eligible "
-                f"(jit=True was requested)")
-        if executor is not None:
-            executor.rebind(table)
-            ex = executor
-            if jitk is not None:
-                if hasattr(ex, "bind_jit"):
-                    ex.bind_jit(jitk)
-                elif jit is True:
-                    raise ValueError(
-                        f"{kname}: pooled executor {type(ex).__name__} "
-                        f"cannot run the JIT tier (jit=True was requested)")
-                else:  # plain pooled wide executor: stay on the wide path
-                    jitk = None
-        else:
-            if jitk is not None:
-                from repro.isa.jit import JitExecutor, JitTracingExecutor
-                ex = JitTracingExecutor(table) if collect_timing else \
-                    JitExecutor(table)
-                ex.bind_jit(jitk)
-            else:
-                ex = WideTracingExecutor(table) if collect_timing else \
-                    WideExecutor(table)
+                f"(tier='jit' was requested)")
+        # One executor serves both tiers: without a bound megakernel it
+        # is the wide interpreter.
+        ex = self._wide_ex
+        if ex is None:
+            ex = self._wide_ex = JitTracingExecutor()
+        ex.rebind(table)
+        ex.bind_jit(jitk)
         ex.bind_plans(kernel.plan_table())
         path = "jit" if jitk is not None else "wide"
-        acc = TimingAccumulator(self.machine) if collect_timing else None
+        acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
-                if collect_timing and self.obs.breakdowns else None)
+                if self.obs.breakdowns else None)
         live_peak = 0
-        with trace_span("dispatch", kernel=kname, path=path,
-                        grid=tuple(grid), threads=total):
-            for chunk_idx, start in enumerate(range(0, total, max_live)):
-                count = min(max_live, total - start)
-                ex.reset(count)
-                if scratch is not None:
-                    scratch.resize(count)
-                if collect_timing:
+        try:
+            with trace_span("dispatch", kernel=kname, path=path,
+                            grid=tuple(grid), threads=total):
+                for chunk_idx, start in enumerate(
+                        range(0, total, MAX_LIVE_THREADS)):
+                    count = min(MAX_LIVE_THREADS, total - start)
+                    ex.reset(count)
+                    if scratch is not None:
+                        scratch.resize(count)
                     ex.begin_launch(self.machine)
-                for pname, base in scalar_bases:
-                    ex.seed_scalar(base, cols[pname][start:start + count])
-                with trace_span(f"dispatch:{path}", kernel=kname,
-                                grid=tuple(grid), chunk=chunk_idx,
-                                threads=count):
-                    ex.run(kernel.program)
-                if collect_timing:
+                    for pname, base in scalar_bases:
+                        ex.seed_scalar(base, cols[pname][start:start + count])
+                    with trace_span(f"dispatch:{path}", kernel=kname,
+                                    grid=tuple(grid), chunk=chunk_idx,
+                                    threads=count):
+                        ex.run(kernel.program)
                     if count > live_peak:
                         live_peak = count
                     if jitk is not None and bacc is None:
@@ -830,16 +796,13 @@ class Device:
                             tr.note_grf(kernel.allocation.max_grf_bytes)
                         self._retire_chunk(acc, traces, bacc,
                                            kernel=kname)
-                else:
-                    self.profile.chunks_dispatched += 1
+        finally:
+            ex.release()
         self.profile.threads_run += total
         if live_peak:
             self.profile.note_live_traces(live_peak)
         self.profile.count_launch(path)
         self._collect_oob(table.values())
-
-        if not collect_timing:
-            return None
         return self._record(acc.finalize(), kname, bacc, path=path)
 
     def _retire_chunk(self, acc: TimingAccumulator,
@@ -917,8 +880,9 @@ class Device:
         """Return the device to a just-constructed state for reuse.
 
         Clears the recorded runs (the timing accumulator behind
-        :attr:`total_time_us`), releases the bound surfaces, and zeroes
-        every :class:`DeviceProfile` counter, so pooled devices can be
+        :attr:`total_time_us`), releases the bound surfaces and the
+        device's executors, and zeroes every :class:`DeviceProfile`
+        counter, so pooled devices can be
         reused across load-generator runs without leaking state.  The
         kernel cache survives by default — recompiling is exactly what a
         pooled device wants to avoid — and its hit/miss stats are reset;
@@ -929,6 +893,7 @@ class Device:
         self.profile = DeviceProfile()
         self.sanitizer_results.clear()
         self.oob_lanes.clear()
+        self._seq_ex = self._wide_ex = None
         if self.kernel_cache is not None:
             if clear_cache:
                 self.kernel_cache.clear()

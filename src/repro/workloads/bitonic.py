@@ -251,7 +251,7 @@ _CF_SIG = [("buf", False)]
 
 
 def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
-                            wide=None, validate: str = "off") -> np.ndarray:
+                            tier=None, validate: str = "off") -> np.ndarray:
     """Sort via the compiled divergent kernels (wide-dispatch eligible).
 
     One local launch covers stages 2..32 (15 split steps); each later
@@ -272,7 +272,7 @@ def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
             local, grid=(threads,), surfaces=[buf],
             scalars=lambda tid, a=lgs0, b=lgs1: {"t": tid[0],
                                                  "lgs0": a, "lgs1": b},
-            name="cf_bitonic_local", wide=wide, validate=validate)
+            name="cf_bitonic_local", tier=tier, validate=validate)
 
     launch_local(1, min(5, log2n))
     for lgsize in range(6, log2n + 1):
@@ -283,7 +283,7 @@ def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
             device.run_compiled(
                 kern, grid=(n // CF_SPAN,), surfaces=[buf],
                 scalars=lambda tid: {"t": tid[0]},
-                name=name, wide=wide, validate=validate)
+                name=name, tier=tier, validate=validate)
         launch_local(lgsize, lgsize)
     return buf.to_numpy().view(np.uint32).copy()
 

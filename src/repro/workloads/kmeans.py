@@ -244,7 +244,7 @@ def _host_update(pts: np.ndarray, labels: np.ndarray,
 
 def run_cm_kmeans_compiled(device: Device, points: np.ndarray,
                            centroids0: np.ndarray, iterations: int = 2,
-                           wide=None, validate: str = "off") -> np.ndarray:
+                           tier=None, validate: str = "off") -> np.ndarray:
     """Lloyd iterations with the compiled divergent assign kernel.
 
     The assign step (where all the divergence lives) runs on the device;
@@ -270,7 +270,7 @@ def run_cm_kmeans_compiled(device: Device, points: np.ndarray,
         device.run_compiled(kern, grid=(n // CF_PTS,),
                             surfaces=[xs, ys, cent, labels_buf],
                             scalars=lambda tid: {"t": tid[0]},
-                            name=name, wide=wide, validate=validate)
+                            name=name, tier=tier, validate=validate)
         labels = labels_buf.to_numpy()
         _host_update(points, labels, cent.to_numpy(), k, kp)
     out = cent.to_numpy()

@@ -21,6 +21,7 @@ from repro.isa.regions import Region
 from repro.memory.surfaces import BufferSurface
 from repro.memory.traffic import spanned_lines, unique_cache_lines
 from repro.sim import Device, MemKind, ThreadTrace, TimingAccumulator
+from repro.sim import device as device_mod
 from repro.sim.machine import GEN11_ICL
 from repro.sim.timing import time_kernel
 from repro.workloads import gemm
@@ -233,7 +234,7 @@ def _hist_body(cmx, src, out, t):
 
 
 class TestRunCompiledVsEager:
-    def _run_gemm_pair(self, chunk_threads=64, wide=None):
+    def _run_gemm_pair(self, tier=None):
         m, n, k = 16, 32, _K
         a, b, c = gemm.make_inputs(m, n, k, seed=5)
         dev_e = Device()
@@ -248,8 +249,7 @@ class TestRunCompiledVsEager:
         cbuf = dev_c.image2d(c.copy(), bytes_per_pixel=4)
         run = dev_c.run_compiled(
             kern, (n // _BN, m // _BM), [abuf, bbuf, cbuf],
-            scalars=lambda tid: {"tx": tid[0], "ty": tid[1]},
-            chunk_threads=chunk_threads, wide=wide)
+            scalars=lambda tid: {"tx": tid[0], "ty": tid[1]}, tier=tier)
         return dev_e, out_e, dev_c, cbuf.to_numpy().copy(), run, (a, b, c)
 
     def test_gemm_outputs_identical_and_same_bound(self):
@@ -261,14 +261,13 @@ class TestRunCompiledVsEager:
         assert run.timing.bound_by == eager.bound_by
         assert run.timing.num_threads == eager.num_threads
 
-    def test_gemm_chunked_dispatch_matches_unchunked(self):
-        # chunk_threads / peak_live_traces are sequential-path internals;
+    def test_gemm_chunked_dispatch_matches_unchunked(self, monkeypatch):
+        # CHUNK_THREADS / peak_live_traces are sequential-path internals;
         # pin the scalar path (the wide path has its own chunking test in
         # test_wide_dispatch.py).
-        _, _, dev1, out1, run1, _ = self._run_gemm_pair(chunk_threads=64,
-                                                        wide=False)
-        _, _, dev2, out2, run2, _ = self._run_gemm_pair(chunk_threads=1,
-                                                        wide=False)
+        _, _, dev1, out1, run1, _ = self._run_gemm_pair(tier="sequential")
+        monkeypatch.setattr(device_mod, "CHUNK_THREADS", 1)
+        _, _, dev2, out2, run2, _ = self._run_gemm_pair(tier="sequential")
         assert np.array_equal(out1, out2)
         assert run1.timing.cycles == run2.timing.cycles
         assert dev2.profile.chunks_dispatched == 4
@@ -299,24 +298,6 @@ class TestRunCompiledVsEager:
         assert np.array_equal(parts_e.sum(axis=0, dtype=np.uint32), expect)
         assert np.array_equal(parts_e, parts_c)
         assert run.timing.bound_by == dev_e.runs[0].timing.bound_by
-
-    def test_functional_only_launch(self):
-        m, n, k = 16, 32, _K
-        a, b, c = gemm.make_inputs(m, n, k, seed=5)
-        dev = Device()
-        kern = dev.compile(_gemm_body, "gemm_small_c",
-                           [("abuf", True), ("bbuf", True), ("cbuf", True)],
-                           ["tx", "ty"])
-        abuf = dev.image2d(a.copy(), bytes_per_pixel=4)
-        bbuf = dev.image2d(b.copy(), bytes_per_pixel=4)
-        cbuf = dev.image2d(c.copy(), bytes_per_pixel=4)
-        result = dev.run_compiled(
-            kern, (n // _BN, m // _BM), [abuf, bbuf, cbuf],
-            scalars=lambda tid: {"tx": tid[0], "ty": tid[1]},
-            collect_timing=False)
-        assert result is None and not dev.runs
-        assert np.allclose(cbuf.to_numpy(), gemm.reference(a, b, c, 1.0, 0.0),
-                           atol=1e-4)
 
 
 # -- bugfix regressions --------------------------------------------------------

@@ -572,13 +572,17 @@ def test_wide_nested_loop_break_matches_sequential(loop, force_break, seed):
 # bit-identity as the wide interpreter.  The three-way differential
 # holds all three back ends to one oracle over the same random corpus.
 
-from repro.isa.jit import JitExecutor, JitKernel, jit_eligible  # noqa: E402
+from repro.isa.jit import (  # noqa: E402
+    JitKernel, JitTracingExecutor, jit_eligible,
+)
+from repro.sim.machine import GEN11_ICL  # noqa: E402
 
 
 def _run_jit(program, seed):
     table = _make_surfaces(seed)
-    ex = JitExecutor(table, num_threads=len(_TIDS))
+    ex = JitTracingExecutor(table, num_threads=len(_TIDS))
     ex.bind_jit(JitKernel(program))
+    ex.begin_launch(GEN11_ICL)
     ex.seed_scalar(_TID_BASE, np.asarray(_TIDS, dtype=np.int32))
     ex.run(program)
     return ex.grf2d.copy(), ex.flags, _surface_bytes(table)

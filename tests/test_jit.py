@@ -10,8 +10,9 @@ test_fuzz_differential.py; this file covers everything around it:
   see a stale plan; pooled executors must not grow unboundedly),
 - megakernel compilation, eligibility, and the kernel-attached cache
   (compile once, hit afterwards, released with the kernel),
-- ``Device.run_compiled`` tier selection (``jit=None/True/False``),
-  chunking, pooled executors, and timing parity with the other tiers.
+- ``Device.run_compiled`` tier selection (``tier=None`` / ``"jit"`` /
+  ``"wide"`` / ``"sequential"``), chunking, the device's reused
+  executors, and timing parity with the other tiers.
 """
 
 import dataclasses
@@ -22,18 +23,17 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import KernelCache
-from repro.isa.dtypes import D, F
+from repro.isa.dtypes import D
 from repro.isa.executor import FunctionalExecutor
 from repro.isa.grf import RegOperand
 from repro.isa.instructions import (
     Immediate, Instruction, MessageDesc, Opcode,
 )
-from repro.isa.jit import (
-    JitExecutor, JitKernel, JitTracingExecutor, get_jit, jit_eligible,
-)
-from repro.isa.wide import WideExecutor, WideTracingExecutor
+from repro.isa.jit import JitKernel, JitTracingExecutor, get_jit, jit_eligible
 from repro.isa.regions import Region
+from repro.sim import device as device_mod
 from repro.sim.device import Device
+from repro.sim.machine import GEN11_ICL
 
 _VEC = 16
 
@@ -67,8 +67,7 @@ def _saxpy_body(cmx, xbuf, ybuf, tid):
 _SAXPY_SIG = [("xbuf", False), ("ybuf", False)]
 
 
-def _run_saxpy(jit, wide=None, n_threads=32, max_live_threads=1024,
-               executor=None, dev=None, collect_timing=True):
+def _run_saxpy(tier, n_threads=32, dev=None):
     dev = dev if dev is not None else Device()
     rng = np.random.default_rng(11)
     x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
@@ -77,9 +76,7 @@ def _run_saxpy(jit, wide=None, n_threads=32, max_live_threads=1024,
     kern = dev.compile(_saxpy_body, "jsaxpy", _SAXPY_SIG, ["tid"])
     run = dev.run_compiled(kern, grid=(n_threads,), surfaces=[xbuf, ybuf],
                            scalars=lambda t: {"tid": t[0]}, name="jsaxpy",
-                           wide=wide, jit=jit, executor=executor,
-                           max_live_threads=max_live_threads,
-                           collect_timing=collect_timing, validate="off")
+                           tier=tier, validate="off")
     got = ybuf.to_numpy().view(np.float32).copy()
     assert np.allclose(got, 2.0 * x + y, atol=1e-6)
     return dev, run, got
@@ -178,8 +175,9 @@ class TestJitKernel:
         _load_reg(seq, 1, range(8), D)
         seq.run(prog)
 
-        jx = JitExecutor()
+        jx = JitTracingExecutor()
         jx.reset(4)
+        jx.begin_launch(GEN11_ICL)
         for t in range(4):
             jx.grf2d[t, 32:64] = np.arange(8, dtype=np.int32).view(np.uint8)
         jx.bind_jit(jitk)
@@ -191,8 +189,9 @@ class TestJitKernel:
     def test_unbound_program_falls_back_to_wide(self):
         bound = [_add_imm(10)]
         other = [_add_imm(99)]
-        jx = JitExecutor()
+        jx = JitTracingExecutor()
         jx.reset(2)
+        jx.begin_launch(GEN11_ICL)
         jx.grf2d[:, 32:64] = np.arange(8, dtype=np.int32).view(np.uint8)
         jx.bind_jit(JitKernel(bound))
         jx.run(other)  # not the compiled program: interpreter path
@@ -218,7 +217,7 @@ class TestKernelAttachedCache:
         dev = Device()
         dev.kernel_cache = KernelCache(maxsize=1)
         kern = dev.compile(_saxpy_body, "jsaxpy", _SAXPY_SIG, ["tid"])
-        _run_saxpy(jit=True, dev=dev)
+        _run_saxpy("jit", dev=dev)
         assert kern._jit is not None and kern._plan_table is not None
 
         def other_body(cmx, xbuf, ybuf, tid):
@@ -233,62 +232,64 @@ class TestKernelAttachedCache:
 
 class TestDeviceDispatch:
     def test_jit_matches_wide_and_scalar(self):
-        _, run_j, out_j = _run_saxpy(jit=True)
-        _, run_w, out_w = _run_saxpy(jit=False, wide=True)
-        _, run_s, out_s = _run_saxpy(jit=False, wide=False)
+        _, run_j, out_j = _run_saxpy("jit")
+        _, run_w, out_w = _run_saxpy("wide")
+        _, run_s, out_s = _run_saxpy("sequential")
+        assert (run_j.path, run_w.path, run_s.path) == \
+            ("jit", "wide", "sequential")
         assert np.array_equal(out_j, out_w)
         assert np.array_equal(out_j, out_s)
         assert _timing_equal(run_j.timing, run_w.timing)
         assert _timing_equal(run_j.timing, run_s.timing)
 
     def test_jit_is_the_default_top_tier(self):
-        dev, run_a, _ = _run_saxpy(jit=None)
-        assert dev.profile.jit_compiles == 1
-        _, run_s, _ = _run_saxpy(jit=False, wide=False)
+        dev, run_a, _ = _run_saxpy(None)
+        assert dev.profile.jit_compiles == 1 and run_a.path == "jit"
+        _, run_s, _ = _run_saxpy("sequential")
         assert _timing_equal(run_a.timing, run_s.timing)
 
-    def test_chunked_jit_matches_unchunked(self):
+    def test_chunked_jit_matches_unchunked(self, monkeypatch):
         # 32 threads in chunks of 9: totals must not depend on chunking.
-        _, run_c, _ = _run_saxpy(jit=True, max_live_threads=9)
-        _, run_u, _ = _run_saxpy(jit=True)
+        _, run_u, _ = _run_saxpy("jit")
+        monkeypatch.setattr(device_mod, "MAX_LIVE_THREADS", 9)
+        _, run_c, _ = _run_saxpy("jit")
         assert _timing_equal(run_c.timing, run_u.timing)
-
-    def test_functional_only_jit_launch(self):
-        dev, run, _ = _run_saxpy(jit=True, collect_timing=False)
-        assert run is None and dev.runs == []
 
     def test_profile_counts_compiles_and_hits(self):
         dev = Device()
         for _ in range(3):
-            _run_saxpy(jit=True, dev=dev)
+            _run_saxpy("jit", dev=dev)
         assert dev.profile.jit_compiles == 1
         assert dev.profile.jit_cache_hits == 2
 
     def test_pooled_jit_executor_reused_across_launches(self):
-        pooled = JitTracingExecutor()
+        # the device builds its wide/JIT executor once and reuses it
         dev = Device()
-        _, run1, _ = _run_saxpy(jit=None, executor=pooled, dev=dev)
-        _, run2, _ = _run_saxpy(jit=None, executor=pooled, dev=dev)
-        _, run_s, _ = _run_saxpy(jit=False, wide=False)
+        _, run1, _ = _run_saxpy(None, dev=dev)
+        ex = dev._wide_ex
+        _, run2, _ = _run_saxpy(None, dev=dev)
+        assert dev._wide_ex is ex
+        _, run_s, _ = _run_saxpy("sequential")
         assert dev.profile.jit_compiles == 1
         assert dev.profile.jit_cache_hits == 1
         assert _timing_equal(run1.timing, run_s.timing)
         assert _timing_equal(run2.timing, run_s.timing)
 
     def test_plain_pooled_wide_executor_stays_wide(self):
-        # a non-JIT pooled executor silently keeps the wide tier …
-        pooled = WideTracingExecutor()
-        dev, run, _ = _run_saxpy(jit=None, executor=pooled, dev=Device())
-        assert dev.profile.jit_cache_hits + dev.profile.jit_compiles == 1
-        _, run_s, _ = _run_saxpy(jit=False, wide=False)
+        # tier="wide" runs the device's executor with no megakernel
+        # bound: a JIT-eligible program stays on the interpreter …
+        dev, run, _ = _run_saxpy("wide")
+        assert run.path == "wide"
+        assert dev.profile.jit_cache_hits + dev.profile.jit_compiles == 0
+        _, run_s, _ = _run_saxpy("sequential")
         assert _timing_equal(run.timing, run_s.timing)
-        # … unless the JIT was explicitly demanded
-        with pytest.raises(ValueError, match="cannot run the JIT tier"):
-            _run_saxpy(jit=True, executor=WideTracingExecutor())
+        # … and a later auto launch binds the megakernel into it
+        _, run_a, _ = _run_saxpy(None, dev=dev)
+        assert run_a.path == "jit" and dev.profile.jit_compiles == 1
 
-    def test_jit_true_requires_wide_path(self):
-        with pytest.raises(ValueError, match="requires the wide path"):
-            _run_saxpy(jit=True, wide=False)
+    def test_unknown_tier_rejected(self):
+        with pytest.raises(ValueError, match="tier must be"):
+            _run_saxpy("scalar")
 
     def test_jit_true_on_ineligible_program_raises(self):
         dev = Device()
@@ -296,31 +297,31 @@ class TestDeviceDispatch:
         kern.program.insert(0, Instruction(
             Opcode.SEND, msg=MessageDesc(kind=None, surface=0)))
         buf = dev.buffer(np.zeros(_VEC, dtype=np.float32))
-        with pytest.raises(ValueError, match="jit=True was requested"):
+        with pytest.raises(ValueError, match="tier='jit' was requested"):
             dev.run_compiled(kern, grid=(1,), surfaces=[buf, buf],
-                             scalars={"tid": 0}, jit=True, validate="off")
+                             scalars={"tid": 0}, tier="jit", validate="off")
 
-    def test_fold_chunk_matches_trace_fanout(self):
+    def test_fold_chunk_matches_trace_fanout(self, monkeypatch):
         """The vectorized JIT timing fold and the per-thread trace
         fan-out (which the breakdown profiler forces) must agree on
         every KernelTiming field."""
         from repro import obs as obs_mod
 
-        _, run_fold, _ = _run_saxpy(jit=True, n_threads=48,
-                                    max_live_threads=16)
+        monkeypatch.setattr(device_mod, "MAX_LIVE_THREADS", 16)
+        _, run_fold, _ = _run_saxpy("jit", n_threads=48)
         with obs_mod.observed(span_metrics=False):
-            _, run_fan, _ = _run_saxpy(jit=True, n_threads=48,
-                                       max_live_threads=16)
+            _, run_fan, _ = _run_saxpy("jit", n_threads=48)
         assert run_fan.breakdown is not None
         assert _timing_equal(run_fold.timing, run_fan.timing)
 
-    def test_dispatch_jit_spans_emitted(self):
+    def test_dispatch_jit_spans_emitted(self, monkeypatch):
         from repro import obs as obs_mod
         from repro.obs.tracing import ChromeTraceSink
 
+        monkeypatch.setattr(device_mod, "MAX_LIVE_THREADS", 20)
         sink = ChromeTraceSink()
         with obs_mod.observed(sink=sink, span_metrics=False):
-            _run_saxpy(jit=True, max_live_threads=20)
+            _run_saxpy("jit")
         jit_spans = [e for e in sink.events if e["name"] == "dispatch:jit"]
         assert sorted(e["args"]["threads"] for e in jit_spans) == [12, 20]
         outer = [e for e in sink.events if e["name"] == "dispatch"]

@@ -2,7 +2,7 @@
 
 Unit tests for each checker plus the load-bearing integration: the
 race verdict from a kernel's first (sanitized, sequential) launch
-decides whether ``Device.run_compiled(wide=None)`` may take the
+decides whether ``Device.run_compiled(tier=None)`` may take the
 grid-vectorized wide path, and ``ServeCluster``/OCL enqueues fold
 their findings into sessions and reports.
 """
@@ -371,7 +371,7 @@ class TestWideGating:
         dev = Device()
         xb, yb, _, _ = _saxpy_surfaces(dev)
         kern = _compile_saxpy(dev)
-        _launch(dev, kern, [xb, yb], wide=True, validate="first")
+        _launch(dev, kern, [xb, yb], tier="jit", validate="first")
         assert dev.sanitizer_results == []
 
     def test_sanitized_launch_preserves_results(self):
