@@ -15,9 +15,9 @@ Two paths run ``LAUNCHES`` launches of a 128-thread SGEMM grid each:
   bar is measured against a *faster* seed than the original.)
 - **batched**: ``Device.compile`` (every launch after the first is a
   kernel-cache hit) plus ``Device.run_compiled`` (default dispatch: the
-  first launch runs sequentially under the race sanitizer to certify
-  lockstep execution, after which launches take the JIT megakernel
-  tier).
+  first launch runs on the wide interpreter under the race sanitizer to
+  certify lockstep execution, after which launches take the JIT
+  megakernel tier).
 
 The batched path must be at least 2x faster even though it does
 strictly more work (full ``KernelTiming`` per launch plus the one-time

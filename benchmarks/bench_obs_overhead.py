@@ -10,9 +10,11 @@ speedup must survive.
 This benchmark freezes a copy of the PR 1 ``run_compiled`` inner loop —
 pooled ``TracingExecutor``, streaming ``TimingAccumulator``, no
 instrumentation at all — and times it against today's instrumented
-``Device.run_compiled`` with observability disabled, on the same
-128-thread SGEMM grid ``bench_batch_engine`` uses.  The instrumented
-path must be within ``MAX_OVERHEAD`` of the frozen baseline.
+``Device.run_compiled`` with observability disabled, pinned to the
+sequential tier that loop became (``tier="sequential"``; the default
+would take the JIT and compare nothing), on the same 128-thread SGEMM
+grid ``bench_batch_engine`` uses.  The instrumented path must be within
+``MAX_OVERHEAD`` of the frozen baseline.
 """
 
 import itertools
@@ -121,7 +123,7 @@ def _measure():
         t0 = time.perf_counter()
         for _ in range(LAUNCHES):
             run = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
-                                   scalars=scalars)
+                                   scalars=scalars, tier="sequential")
         return time.perf_counter() - t0, run.timing
 
     # One untimed warm-up of each path, then best-of-TRIALS with the

@@ -9,16 +9,18 @@ blur kernel) run the same launch through both dispatch paths of
 - **scalar**: the sequential tier (``tier="sequential"``) — one
   ``TracingExecutor`` re-interprets the program once per hardware
   thread.
-- **wide**: the grid-vectorized path (``tier="jit"``) — one executor
-  stacks all thread GRFs and runs the whole grid at once through the
-  kernel's megakernel (these straight-line kernels are JIT-eligible;
-  ``bench_jit.py`` separates the wide interpreter from the JIT).
+- **wide**: the grid-vectorized interpreter (``tier="wide"``) — one
+  executor stacks all thread GRFs and runs each instruction once for
+  the whole grid.  This is also the tier sanitized first launches run
+  on; ``bench_jit.py`` measures the megakernel tier above it.
 
-Outputs must be byte-identical and every simulated-timing field of the
-resulting ``KernelTiming`` must match exactly: the wide path is a pure
-wall-clock optimization, never a model change.  A saxpy scaling sweep
-records how the speedup grows with grid size.  Results land in
-``BENCH_wide.json``.
+Each tier gets one untimed launch on the same device first (plan
+tables, executor buffers), then the best of ``TRIALS`` timed launches
+on freshly bound surfaces.  Outputs must be byte-identical and every
+simulated-timing field of the resulting ``KernelTiming`` must match
+exactly: the wide path is a pure wall-clock optimization, never a model
+change.  A saxpy scaling sweep records how the speedup grows with grid
+size.  Results land in ``BENCH_wide.json`` with the host they ran on.
 
 Run directly (``python benchmarks/bench_wide_dispatch.py [--smoke]``)
 or via pytest (smoke sizes).
@@ -27,6 +29,8 @@ or via pytest (smoke sizes).
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -67,69 +71,89 @@ def _blur_body(cmx, img, tx, ty):
     cmx.write(img, x0, y0, out)
 
 
-def _launch_sgemm(mn, k, tier):
+def _sgemm_case(mn, k):
+    """One device + compiled kernel; fresh surfaces per launch."""
     rng = np.random.default_rng(0)
     a = (rng.random((mn, k), dtype=np.float32) - 0.5).astype(np.float32)
     b = (rng.random((k, mn), dtype=np.float32) - 0.5).astype(np.float32)
     dev = Device()
-    abuf = dev.image2d(a.copy(), bytes_per_pixel=4)
-    bbuf = dev.image2d(b.copy(), bytes_per_pixel=4)
-    cbuf = dev.image2d(np.zeros((mn, mn), np.float32), bytes_per_pixel=4)
     kern = dev.compile(gemm._jit_gemm_body(k), "cm_sgemm_jit",
                        gemm._JIT_SIG, ["tx", "ty"])
     grid = (mn // gemm.JIT_BN, mn // gemm.JIT_BM)
-    t0 = time.perf_counter()
-    run = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
-                           scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                           name="cm_sgemm_jit", tier=tier)
-    dt = time.perf_counter() - t0
-    return dt, cbuf.to_numpy().copy(), run.timing, grid[0] * grid[1]
+
+    def run(tier):
+        abuf = dev.image2d(a.copy(), bytes_per_pixel=4)
+        bbuf = dev.image2d(b.copy(), bytes_per_pixel=4)
+        cbuf = dev.image2d(np.zeros((mn, mn), np.float32),
+                           bytes_per_pixel=4)
+        t0 = time.perf_counter()
+        r = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
+                             scalars=lambda t: {"tx": t[0], "ty": t[1]},
+                             name="cm_sgemm_jit", tier=tier)
+        dt = time.perf_counter() - t0
+        return dt, cbuf.to_numpy().copy(), r.timing
+
+    return run, grid[0] * grid[1]
 
 
-def _launch_blur(bx, by, tier):
+def _blur_case(bx, by):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 200, size=(by * _BLUR_H, bx * _BLUR_W),
                        dtype=np.uint8)
     dev = Device()
-    buf = dev.image2d(img.copy(), bytes_per_pixel=1)
     kern = dev.compile(_blur_body, "wide_blur", [("img", True)],
                        ["tx", "ty"])
-    t0 = time.perf_counter()
-    run = dev.run_compiled(kern, (bx, by), [buf],
-                           scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                           name="wide_blur", tier=tier)
-    dt = time.perf_counter() - t0
-    return dt, buf.to_numpy().copy(), run.timing, bx * by
+
+    def run(tier):
+        buf = dev.image2d(img.copy(), bytes_per_pixel=1)
+        t0 = time.perf_counter()
+        r = dev.run_compiled(kern, (bx, by), [buf],
+                             scalars=lambda t: {"tx": t[0], "ty": t[1]},
+                             name="wide_blur", tier=tier)
+        dt = time.perf_counter() - t0
+        return dt, buf.to_numpy().copy(), r.timing
+
+    return run, bx * by
 
 
-def _launch_saxpy(n_threads, tier):
+def _saxpy_case(n_threads):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
     y = rng.standard_normal(n_threads * _VEC).astype(np.float32)
     dev = Device()
-    xbuf, ybuf = dev.buffer(x.copy()), dev.buffer(y.copy())
     kern = dev.compile(_saxpy_body, "wide_saxpy",
                        [("xbuf", False), ("ybuf", False)], ["tid"])
-    t0 = time.perf_counter()
-    run = dev.run_compiled(kern, (n_threads,), [xbuf, ybuf],
-                           scalars=lambda t: {"tid": t[0]},
-                           name="wide_saxpy", tier=tier)
-    dt = time.perf_counter() - t0
-    return dt, ybuf.to_numpy().copy(), run.timing, n_threads
+
+    def run(tier):
+        xbuf, ybuf = dev.buffer(x.copy()), dev.buffer(y.copy())
+        t0 = time.perf_counter()
+        r = dev.run_compiled(kern, (n_threads,), [xbuf, ybuf],
+                             scalars=lambda t: {"tid": t[0]},
+                             name="wide_saxpy", tier=tier)
+        dt = time.perf_counter() - t0
+        return dt, ybuf.to_numpy().copy(), r.timing
+
+    return run, n_threads
 
 
-def _compare(launch, *args):
-    """Best-of-TRIALS wall clock for both paths + identity checks."""
-    wide_t = scalar_t = float("inf")
-    for _ in range(TRIALS):
-        dt, wide_out, wide_tm, threads = launch(*args, "jit")
-        wide_t = min(wide_t, dt)
-        dt, scalar_out, scalar_tm, _ = launch(*args, "sequential")
-        scalar_t = min(scalar_t, dt)
-    assert np.array_equal(wide_out, scalar_out), "outputs diverged"
+def _compare(case, *args):
+    """Best-of-TRIALS wall clock for both tiers + identity checks."""
+    run, threads = case(*args)
+    best, outs, tms = {}, {}, {}
+    for tier in ("wide", "sequential"):
+        run(tier)  # untimed: plan tables, executor buffers
+        t = float("inf")
+        for _ in range(TRIALS):
+            dt, outs[tier], tms[tier] = run(tier)
+            t = min(t, dt)
+        best[tier] = t
+    assert np.array_equal(outs["wide"], outs["sequential"]), \
+        "outputs diverged"
+    wide_tm, scalar_tm = tms["wide"], tms["sequential"]
     for f in dataclasses.fields(scalar_tm):
         w, s = getattr(wide_tm, f.name), getattr(scalar_tm, f.name)
         assert w == s, f"simulated timing field {f.name}: {w} != {s}"
+    wide_t, scalar_t = best["wide"], best["sequential"]
     return {
         "grid_threads": threads,
         "wide_ms": round(wide_t * 1e3, 2),
@@ -140,21 +164,27 @@ def _compare(launch, *args):
     }
 
 
+def _host():
+    return {"nproc": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
 def run_benchmark(smoke=False, out_path="BENCH_wide.json"):
     if smoke:
-        workloads = [("sgemm", _launch_sgemm, (64, 16)),
-                     ("linear_blur", _launch_blur, (8, 8))]
+        workloads = [("sgemm", _sgemm_case, (64, 16)),
+                     ("linear_blur", _blur_case, (8, 8))]
         sweep_sizes = [64, 256]
         min_speedup = SMOKE_MIN_SPEEDUP
     else:
-        workloads = [("sgemm", _launch_sgemm, (256, 16)),
-                     ("linear_blur", _launch_blur, (32, 16))]
+        workloads = [("sgemm", _sgemm_case, (256, 16)),
+                     ("linear_blur", _blur_case, (32, 16))]
         sweep_sizes = [64, 256, 1024, 4096]
         min_speedup = FULL_MIN_SPEEDUP
 
     results = []
-    for name, launch, args in workloads:
-        r = _compare(launch, *args)
+    for name, case, args in workloads:
+        r = _compare(case, *args)
         r["workload"] = name
         results.append(r)
         print(f"  [{name:12s}] threads={r['grid_threads']:5d} "
@@ -163,7 +193,7 @@ def run_benchmark(smoke=False, out_path="BENCH_wide.json"):
 
     scaling = []
     for n in sweep_sizes:
-        r = _compare(_launch_saxpy, n)
+        r = _compare(_saxpy_case, n)
         scaling.append({"threads": n, "wide_ms": r["wide_ms"],
                         "scalar_ms": r["scalar_ms"],
                         "speedup": r["speedup"]})
@@ -174,6 +204,7 @@ def run_benchmark(smoke=False, out_path="BENCH_wide.json"):
     doc = {
         "benchmark": "wide_dispatch",
         "mode": "smoke" if smoke else "full",
+        "host": _host(),
         "min_speedup": min_speedup,
         "workloads": results,
         "scaling": scaling,

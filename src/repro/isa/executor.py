@@ -90,8 +90,8 @@ class FunctionalExecutor:
         #: optional sanitizer hook bundle
         #: (:class:`repro.sanitize.hooks.ExecSanitizer`); when set,
         #: ``before_inst``/``after_inst`` are called around every
-        #: instruction.  Sequential dispatch only — the wide executor
-        #: refuses to run with hooks attached.
+        #: instruction (the wide executor carries one too, whose hooks
+        #: then see (T, lanes) masks).
         self.san = None
         #: SIMD-CF state: the (32,) active-lane mask (``None`` outside a
         #: control-flow program), the mask frame stack, the PC of the

@@ -39,6 +39,14 @@ exactly like the register file: ``(T, 32)`` active masks and
 function of the PC.  A chunk of T threads with data-divergent loop trip
 counts still issues one NumPy op per executed instruction.
 
+**Sanitizing.**  The executor runs with an
+:class:`~repro.sanitize.hooks.ExecSanitizer` in its ``san`` slot like
+the sequential one: the hooks see ``(T, lanes)`` masks, and every
+SEND passes the stacked thread row of each access to the surfaces' race
+recorder.  This is how
+``Device.run_compiled`` sanitizes a kernel's first launch at vector
+speed.
+
 :class:`WideTracingExecutor` additionally produces per-thread
 :class:`~repro.sim.trace.ThreadTrace` streams.  For straight-line
 programs every issue-timeline quantity (instruction counts, issue
@@ -204,16 +212,6 @@ class WideExecutor(FunctionalExecutor):
         self._rows: Optional[np.ndarray] = None
         self._rowm: Optional[np.ndarray] = None
         self._row_all = True
-
-    def run(self, program) -> None:
-        # Sanitizer hooks assume one thread's register file and lane
-        # masks; sanitized launches are always sequential (the race
-        # verdict is what *admits* a program to the wide path).
-        if self.san is not None:
-            raise ExecutionError(
-                "sanitizer hooks cannot run on the wide executor; "
-                "use sequential dispatch for sanitized launches")
-        super().run(program)
 
     def reset(self, num_threads: Optional[int] = None) -> None:
         """Zero architectural state, optionally resizing to a new T."""
@@ -568,7 +566,7 @@ class WideExecutor(FunctionalExecutor):
             x = self._scalar_vec(msg.addr0)[rows]
             y = self._scalar_vec(msg.addr1)[rows]
             w, h = msg.block_width, msg.block_height
-            block = surf.read_block_many(x, y, w, h)  # (R, h, w)
+            block = surf.read_block_many(x, y, w, h, rows=rows)  # (R, h, w)
             self._store_payload_rows(base, block.reshape(nrows, -1), rows)
         elif kind is MsgKind.MEDIA_BLOCK_WRITE:
             x = self._scalar_vec(msg.addr0)[rows]
@@ -576,22 +574,17 @@ class WideExecutor(FunctionalExecutor):
             w, h = msg.block_width, msg.block_height
             data = np.ascontiguousarray(
                 self._load_payload_rows(base, w * h, rows))
-            surf.write_block_many(x, y, w, h, data.reshape(nrows, h, w))
+            surf.write_block_many(x, y, w, h, data.reshape(nrows, h, w),
+                                  rows=rows)
         elif kind is MsgKind.OWORD_BLOCK_READ:
             offset = self._scalar_vec(msg.addr0)[rows]
-            if isinstance(surf, WideScratch):
-                data = surf.read_linear_many(offset, msg.payload_bytes,
-                                             rows=rows)
-            else:
-                data = surf.read_linear_many(offset, msg.payload_bytes)
+            data = surf.read_linear_many(offset, msg.payload_bytes,
+                                         rows=rows)
             self._store_payload_rows(base, data, rows)
         elif kind is MsgKind.OWORD_BLOCK_WRITE:
             offset = self._scalar_vec(msg.addr0)[rows]
             data = self._load_payload_rows(base, msg.payload_bytes, rows)
-            if isinstance(surf, WideScratch):
-                surf.write_linear_many(offset, data, rows=rows)
-            else:
-                surf.write_linear_many(offset, data)
+            surf.write_linear_many(offset, data, rows=rows)
         elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
             self._execute_scattered(inst, surf, rows=rows)
         else:
@@ -619,14 +612,15 @@ class WideExecutor(FunctionalExecutor):
         # performs these accesses, so overlap/atomic semantics match.
         flat = offsets.reshape(-1)
         fmask = None if mask is None else mask.reshape(-1)
+        lrows = _lane_rows(surf, None, n, T)
 
         if msg.kind is MsgKind.GATHER:
-            data = surf.gather(flat, elem, mask=fmask)
+            data = surf.gather(flat, elem, mask=fmask, rows=lrows)
             self._store_payload(base, data.reshape(T, n).view(np.uint8))
         elif msg.kind is MsgKind.SCATTER:
             raw = np.ascontiguousarray(
                 self._load_payload(base, n * elem.size)).view(elem.np_dtype)
-            surf.scatter(flat, raw.reshape(-1), mask=fmask)
+            surf.scatter(flat, raw.reshape(-1), mask=fmask, rows=lrows)
         else:  # ATOMIC
             operands = None
             if msg.payload_bytes:
@@ -634,7 +628,7 @@ class WideExecutor(FunctionalExecutor):
                     self._load_payload(base, n * elem.size)) \
                     .view(elem.np_dtype).reshape(-1)
             old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
-                               fmask)
+                               fmask, lrows)
             if inst.dst is not None:
                 self._write_dst(inst.dst, old.reshape(T, n), mask=mask)
 
@@ -652,16 +646,17 @@ class WideExecutor(FunctionalExecutor):
             np.broadcast_to(mask[rows], (nrows, n))
         flat = offsets[rows].reshape(-1)
         fmask = None if sub is None else sub.reshape(-1)
+        lrows = _lane_rows(surf, rows, n, self.num_threads)
 
         if msg.kind is MsgKind.GATHER:
-            data = surf.gather(flat, elem, mask=fmask)
+            data = surf.gather(flat, elem, mask=fmask, rows=lrows)
             self._store_payload_rows(
                 base, data.reshape(nrows, n).view(np.uint8), rows)
         elif msg.kind is MsgKind.SCATTER:
             raw = np.ascontiguousarray(
                 self._load_payload_rows(base, n * elem.size, rows)) \
                 .view(elem.np_dtype)
-            surf.scatter(flat, raw.reshape(-1), mask=fmask)
+            surf.scatter(flat, raw.reshape(-1), mask=fmask, rows=lrows)
         else:  # ATOMIC
             operands = None
             if msg.payload_bytes:
@@ -669,7 +664,7 @@ class WideExecutor(FunctionalExecutor):
                     self._load_payload_rows(base, n * elem.size, rows)) \
                     .view(elem.np_dtype).reshape(-1)
             old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
-                               fmask)
+                               fmask, lrows)
             if inst.dst is not None:
                 vals = np.zeros((self.num_threads, n), dtype=elem.np_dtype)
                 vals[rows] = old.reshape(nrows, n)
@@ -677,12 +672,24 @@ class WideExecutor(FunctionalExecutor):
                                 mask=self._rowm if mask is None else mask)
 
 
+def _lane_rows(surf, rows: Optional[np.ndarray], n: int,
+               num_threads: int) -> Optional[np.ndarray]:
+    """The stacked thread row of every lane of a flattened ``(R*n)``
+    access by ``rows`` (``None``: all ``num_threads``), for the
+    surface's sanitizer recorder — ``None``, and nothing computed, when
+    no recorder is attached."""
+    if surf._san_rec is None:
+        return None
+    return np.repeat(np.arange(num_threads) if rows is None else rows, n)
+
+
 _FAST_ATOMIC_OPS = frozenset({"add", "sub", "inc", "dec"})
 
 
 def _wide_atomic(surf, op: str, offsets: np.ndarray,
                  operands: Optional[np.ndarray], elem,
-                 mask: Optional[np.ndarray]) -> np.ndarray:
+                 mask: Optional[np.ndarray],
+                 rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply a flattened (T*n)-lane atomic in thread order.
 
     Integer add/sub/inc/dec commute up to ordering of the *returned* old
@@ -691,10 +698,16 @@ def _wide_atomic(surf, op: str, offsets: np.ndarray,
     order-independent); everything else (min/max/bitwise/xchg, float
     adds) falls back to the sequential lane loop on the flattened
     vector, which is the same order the per-thread path applies.
+    ``rows`` (the thread row of each lane) goes to the sanitizer
+    recorder, which the fast path, writing the bytes directly, notifies
+    itself.
     """
     old = _fast_int_atomic(surf, op, offsets, operands, elem, mask)
     if old is None:
-        old = surf.atomic(op, offsets, operands, elem, mask=mask)
+        return surf.atomic(op, offsets, operands, elem, mask=mask, rows=rows)
+    if surf._san_rec is not None:
+        surf._san_rec.note_offsets(surf, "a", offsets, elem.size,
+                                   mask=mask, rows=rows)
     return old
 
 

@@ -117,7 +117,11 @@ class Surface:
         self.obs_label = (type(self).__name__.replace("Surface", "").lower()
                           or "surface")
         #: attached ``repro.sanitize`` race recorder; every access method
-        #: forwards read/write/atomic byte sets here when one is set.
+        #: forwards read/write/atomic byte sets here when one is set.  The
+        #: wide paths (``*_many``, and gather/scatter/atomic over a
+        #: flattened ``(T*n)`` lane vector) take an optional ``rows``
+        #: argument naming the stacked thread row of each offset, which
+        #: they forward so the recorder can tell the threads apart.
         self._san_rec = None
         #: lanes clipped or dropped by the edge-clamping access paths
         #: (media blocks, sampler pixels) since creation / last reset.
@@ -329,15 +333,19 @@ class Surface:
             self._san_rec.note_range(self, "w", byte_offset, raw.size)
         self.bytes[byte_offset:byte_offset + raw.size] = raw
 
-    def read_linear_many(self, byte_offsets, nbytes: int) -> np.ndarray:
+    def read_linear_many(self, byte_offsets, nbytes: int,
+                         rows=None) -> np.ndarray:
         """One contiguous ``nbytes`` read per thread -> (T, nbytes) uint8."""
         offs = np.asarray(byte_offsets, dtype=np.int64)
         if offs.size:
             self._check(int(offs.min()), 0)
             self._check(int(offs.max()), nbytes)
+        if self._san_rec is not None:
+            self._san_rec.note_ranges_many(self, "r", offs, nbytes, rows)
         return self.bytes[offs[:, None] + np.arange(nbytes)]
 
-    def write_linear_many(self, byte_offsets, data: np.ndarray) -> None:
+    def write_linear_many(self, byte_offsets, data: np.ndarray,
+                          rows=None) -> None:
         """One contiguous write per thread from ``data`` rows (T, nbytes).
 
         Overlapping writes resolve in thread order (the later thread
@@ -348,18 +356,23 @@ class Surface:
         if offs.size:
             self._check(int(offs.min()), 0)
             self._check(int(offs.max()), raw.shape[1])
+        if self._san_rec is not None:
+            self._san_rec.note_ranges_many(self, "w", offs, raw.shape[1],
+                                           rows)
         self.bytes[offs[:, None] + np.arange(raw.shape[1])] = raw
 
     # -- scattered access --------------------------------------------------
 
     def gather(self, byte_offsets: np.ndarray, elem: DType,
-               mask: Optional[np.ndarray] = None) -> np.ndarray:
+               mask: Optional[np.ndarray] = None, rows=None) -> np.ndarray:
         offs = np.asarray(byte_offsets, dtype=np.int64)
         out = np.zeros(len(offs), dtype=elem.np_dtype)
         active = slice(None) if mask is None else np.asarray(mask, dtype=bool)
         idx = offs[active]
         if self._san_rec is not None and idx.size:
-            self._san_rec.note_offsets(self, "r", idx, elem.size)
+            self._san_rec.note_offsets(
+                self, "r", idx, elem.size,
+                rows=None if rows is None else rows[active])
         if idx.size:
             self._check(int(idx.min()), 0)
             self._check(int(idx.max()), elem.size)
@@ -368,7 +381,7 @@ class Surface:
         return out
 
     def scatter(self, byte_offsets: np.ndarray, values: np.ndarray,
-                mask: Optional[np.ndarray] = None) -> None:
+                mask: Optional[np.ndarray] = None, rows=None) -> None:
         offs = np.asarray(byte_offsets, dtype=np.int64)
         values = np.ascontiguousarray(values)
         elem_size = values.dtype.itemsize
@@ -376,12 +389,14 @@ class Surface:
         if mask is not None:
             keep = np.asarray(mask, dtype=bool)
             offs, raw = offs[keep], raw[keep]
+            if rows is not None:
+                rows = rows[keep]
         if not offs.size:
             return
         self._check(int(offs.min()), 0)
         self._check(int(offs.max()), elem_size)
         if self._san_rec is not None:
-            self._san_rec.note_offsets(self, "w", offs, elem_size)
+            self._san_rec.note_offsets(self, "w", offs, elem_size, rows=rows)
         # Duplicate offsets take the last lane's value (hardware scatter order).
         byte_idx = offs[:, None] + np.arange(elem_size)
         self.bytes[byte_idx] = raw
@@ -390,10 +405,10 @@ class Surface:
 
     def atomic(self, op: str, byte_offsets: np.ndarray,
                operands: Optional[np.ndarray], elem: DType,
-               mask: Optional[np.ndarray] = None) -> np.ndarray:
+               mask: Optional[np.ndarray] = None, rows=None) -> np.ndarray:
         if self._san_rec is not None:
             self._san_rec.note_offsets(self, "a", byte_offsets, elem.size,
-                                       mask=mask)
+                                       mask=mask, rows=rows)
         return apply_atomic(self.bytes, op, np.asarray(byte_offsets, np.int64),
                             operands, elem, mask)
 
@@ -514,11 +529,19 @@ class Image2DSurface(Surface):
             self._san_rec.note_rect(self, "w", x0, x1, y0, y1, self.pitch)
         img[y0:y1, x0:x1] = block[y0 - y:y1 - y, x0 - x:x1 - x]
 
-    def read_block_many(self, xs, ys, width: int, height: int) -> np.ndarray:
+    def read_block_many(self, xs, ys, width: int, height: int,
+                        rows=None) -> np.ndarray:
         """Vectorized :meth:`read_block`: one block per thread at
         ``(xs[t], ys[t])`` -> (T, height, width) uint8, edge-clamped."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        if self._san_rec is not None:
+            # bytes actually touched: each thread's edge-clamped rectangle
+            top, right = self.height - 1, self.pitch - 1
+            self._san_rec.note_rects_many(
+                self, "r", np.clip(xs, 0, right),
+                np.clip(xs + width - 1, 0, right) + 1, np.clip(ys, 0, top),
+                np.clip(ys + height - 1, 0, top) + 1, self.pitch, rows)
         vis = (np.clip(np.minimum(ys + height, self.height)
                        - np.maximum(ys, 0), 0, height)
                * np.clip(np.minimum(xs + width, self.pitch)
@@ -534,7 +557,7 @@ class Image2DSurface(Surface):
         return img[rows[:, :, None], cols[:, None, :]]
 
     def write_block_many(self, xs, ys, width: int, height: int,
-                         data: np.ndarray) -> None:
+                         data: np.ndarray, rows=None) -> None:
         """Vectorized :meth:`write_block` from ``data`` (T, height, width).
 
         Out-of-bounds texels are dropped; overlapping in-bounds texels
@@ -542,6 +565,11 @@ class Image2DSurface(Surface):
         """
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        if self._san_rec is not None:
+            self._san_rec.note_rects_many(
+                self, "w", np.maximum(xs, 0),
+                np.minimum(xs + width, self.pitch), np.maximum(ys, 0),
+                np.minimum(ys + height, self.height), self.pitch, rows)
         rows = ys[:, None] + np.arange(height)
         cols = xs[:, None] + np.arange(width)
         ok = ((rows >= 0) & (rows < self.height))[:, :, None] & \

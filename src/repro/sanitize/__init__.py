@@ -1,18 +1,22 @@
 """repro.sanitize — kernel sanitizer subsystem.
 
-Three checkers over the simulated GPU stack, all running during
-*sequential* dispatch (the wide grid-vectorized path is exactly what
-the verdicts guard):
+Three checkers over the simulated GPU stack, running under sequential
+dispatch and on the grid-vectorized wide interpreter alike:
 
 - :class:`~repro.sanitize.race.RaceDetector` — cross-thread data races
   on surfaces/SLM with barrier-based happens-before; its
   :class:`~repro.sanitize.race.RaceVerdict` gates
-  ``Device.run_compiled(tier=None)``'s wide-path auto-selection.
+  ``Device.run_compiled(tier=None)``'s vector-tier auto-selection.
 - OOB/clip sanitizer (:mod:`repro.sanitize.oob`) — counts
   silently-clamped out-of-bounds lanes per surface; strict mode raises
   :class:`~repro.memory.surfaces.OOBError`.
 - :class:`~repro.sanitize.uninit.UninitTracker` — uninitialized-GRF
   reads via a shadow validity bitmap, honouring execution masks.
+
+A compiled kernel's sanitized launch runs these checkers on the wide
+interpreter first and reruns sanitized-sequential — the oracle that
+produces every reported finding — only when they find something (see
+``Device.run_compiled``).
 
 ``python -m repro.sanitize`` runs any registered workload under all
 checkers and emits a :class:`~repro.sanitize.report.SanitizerReport`
@@ -61,9 +65,9 @@ class SanitizerSession:
     runtime attach a fresh :class:`RaceDetector` per kernel enqueue,
     feed barrier edges from the work-group scheduler, and fold each
     kernel's verdict plus per-surface OOB clip deltas into
-    :attr:`report`.  Compiled launches that run sanitized-sequential
-    (``validate`` gating in ``Device.run_compiled``) also append their
-    results here when a session is current.
+    :attr:`report`.  Sanitized compiled launches (``validate`` gating
+    in ``Device.run_compiled``) also append their results here when a
+    session is current.
     """
 
     def __init__(self, strict_oob: bool = False) -> None:

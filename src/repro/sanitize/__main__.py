@@ -40,7 +40,7 @@ def _table1_runs() -> Dict[str, Callable]:
 
 
 def _serve_runs() -> Dict[str, Callable]:
-    """The serving registry's compiled kernels, sanitized-sequential."""
+    """The serving registry's compiled kernels, sanitized."""
     from repro.serve.workloads import get_workload, workload_keys
 
     def run_launch(key):

@@ -1,9 +1,10 @@
 """Executor-side sanitizer hooks.
 
-:class:`ExecSanitizer` is the object a sequential
-:class:`~repro.isa.executor.FunctionalExecutor` (or its tracing
-subclass) carries in its ``san`` slot.  The executor calls
-``before_inst`` / ``after_inst`` around every instruction; the hooks
+:class:`ExecSanitizer` is the object a
+:class:`~repro.isa.executor.FunctionalExecutor` (sequential) or a
+:class:`~repro.isa.wide.WideExecutor` (T threads at once) carries in
+its ``san`` slot.  The executor calls ``before_inst`` / ``after_inst``
+around every instruction; the hooks
 
 - keep the attached :class:`~repro.sanitize.race.RaceDetector`'s
   current instruction index fresh and forward BARRIER opcodes as
@@ -13,9 +14,18 @@ subclass) carries in its ``san`` slot.  The executor calls
   access (``_src_plan`` / ``_dst_plan``), so validity tracking follows
   regioning, strides, and execution masks bit-for-bit.
 
-The wide executor never carries hooks — sanitized launches are always
-sequential (that is the point: the verdict decides whether the wide
-path is safe).
+The same hook code serves both executors: the masks it reads
+(``_exec_mask``, ``_pred_mask``, ``_cf_active_lanes``) are ``(lanes,)``
+sequentially and ``(T, lanes)`` / ``(T, 1)`` on the wide executor, and
+the tracker's ``(T, 4096)`` bitmap broadcasts against either.  Under
+divergent control flow the wide executor issues an instruction for the
+group of threads parked at its PC, yet the unmasked checks and marks
+(scalar message addresses, block payloads) cover every row.  That is
+harmless: the group scheduler always issues the lowest PC and only
+WHILE jumps back, so every other thread is further along and has
+already run this instruction, and validity bits only ever turn on.  The wide executor has no global
+barrier epochs, so ``Device.run_compiled`` keeps programs containing
+BARRIER on sanitized-sequential dispatch.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ class ExecSanitizer:
                  uninit: Optional[UninitTracker] = None) -> None:
         self.race = race
         self.uninit = uninit
+        #: (base, nbytes) -> byte plan of a block-write payload
+        self._payload_plans: dict = {}
 
     def begin_thread(self, key) -> None:
         if self.race is not None:
@@ -46,10 +58,19 @@ class ExecSanitizer:
         if self.uninit is not None:
             self.uninit.begin_thread(key)
 
-    def mark_grf_valid(self, start: int, nbytes: int) -> None:
-        """Host-seeded GRF bytes (scalar kernel parameters) are defined."""
+    def begin_threads(self, keys) -> None:
+        """Start a chunk of threads the wide executor runs at once."""
+        if self.race is not None:
+            self.race.begin_threads(keys)
         if self.uninit is not None:
-            self.uninit.mark_range(start, nbytes)
+            self.uninit.begin_threads(keys)
+
+    def mark_grf_valid(self, start: int, nbytes: int,
+                       mask: Optional[np.ndarray] = None) -> None:
+        """Host-seeded GRF bytes (scalar kernel parameters) are defined
+        (in the threads a ``(T, 1)`` ``mask`` selects, if given)."""
+        if self.uninit is not None:
+            self.uninit.mark_range(start, nbytes, mask)
 
     # -- executor hooks ----------------------------------------------------
 
@@ -73,71 +94,76 @@ class ExecSanitizer:
         op = inst.opcode
         if op is Opcode.NOP or op is Opcode.BARRIER:
             return
-        un = self.uninit
-        opname = op.name.lower()
         if op is Opcode.SEND:
-            self._check_send_sources(ex, inst, inst_ix, opname)
+            self._check_send_sources(ex, inst, inst_ix)
             return
         n = inst.exec_size
-        pred = ex._pred_mask(inst)
+        srcs = [(src, ex._src_plan(src, n)) for src in inst.srcs
+                if isinstance(src, RegOperand)]
+        pred = ex._pred_mask(inst) if op is Opcode.SEL else None
+        if pred is None:
+            self._check_plans(srcs, inst, inst_ix,
+                              lambda: ex._exec_mask(inst))
+            return
+        # each lane of a predicated SEL reads exactly one source: src0
+        # where the predicate is set, src1 where it is not; inside
+        # divergent control flow only the CF-active lanes read at all.
         act = ex._cf_active_lanes(inst)
-        if op is Opcode.SEL and pred is not None:
-            # each lane reads exactly one source: src0 where the
-            # predicate is set, src1 where it is not; inside divergent
-            # control flow only the CF-active lanes read at all.
-            for src, lane_mask in ((inst.srcs[0], pred),
-                                   (inst.srcs[1], ~pred)):
+        for src, lane_mask in ((inst.srcs[0], pred), (inst.srcs[1], ~pred)):
+            if isinstance(src, RegOperand):
                 if act is not None:
                     lane_mask = lane_mask & act
-                if isinstance(src, RegOperand):
-                    un.check_plan(ex._src_plan(src, n), lane_mask,
-                                  inst_ix, opname, src)
-            return
-        mask = ex._exec_mask(inst)
-        for src in inst.srcs:
-            if isinstance(src, RegOperand):
-                un.check_plan(ex._src_plan(src, n), mask,
-                              inst_ix, opname, src)
+                self._check_plans([(src, ex._src_plan(src, n))], inst,
+                                  inst_ix, lambda: lane_mask)
 
-    def _check_send_sources(self, ex, inst, inst_ix: int,
-                            opname: str) -> None:
+    def _check_plans(self, plans, inst, inst_ix: int, mask_of=None) -> None:
+        """Check ``(operand, plan)`` pairs, under the lane mask
+        ``mask_of()`` if given — worked out only when some plan is not
+        yet known to be defined in every lane of every thread."""
+        un = self.uninit
+        if all(un.known_valid(idx) for _, idx in plans):
+            return
+        mask = None if mask_of is None else mask_of()
+        opname = inst.opcode.name.lower()
+        for operand, idx in plans:
+            un.check_plan(idx, mask, inst_ix, opname, operand)
+
+    def _check_send_sources(self, ex, inst, inst_ix: int) -> None:
         msg = inst.msg
         if msg is None:
             return
-        un = self.uninit
         kind = msg.kind
-        base = msg.payload_reg * GRF_SIZE_BYTES
-        for addr in (msg.addr0, msg.addr1):
-            if isinstance(addr, RegOperand):
-                un.check_plan(ex._src_plan(addr, 1), None,
-                              inst_ix, opname, addr)
+        self._check_plans([(addr, ex._src_plan(addr, 1))
+                           for addr in (msg.addr0, msg.addr1)
+                           if isinstance(addr, RegOperand)],
+                          inst, inst_ix)
         if kind is MsgKind.MEDIA_BLOCK_WRITE:
-            self._check_payload(ex, inst_ix, opname, msg.payload_reg, base,
+            self._check_payload(inst, inst_ix,
                                 msg.block_width * msg.block_height)
         elif kind is MsgKind.OWORD_BLOCK_WRITE:
-            self._check_payload(ex, inst_ix, opname, msg.payload_reg, base,
-                                msg.payload_bytes)
+            self._check_payload(inst, inst_ix, msg.payload_bytes)
         elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
             n = inst.exec_size
-            mask = ex._exec_mask(inst)
-            addr_op = RegOperand(msg.addr_reg, 0, UD,
-                                 region=_contiguous_region(n))
-            un.check_plan(ex._src_plan(addr_op, n), mask,
-                          inst_ix, opname, addr_op)
+            operands = [RegOperand(msg.addr_reg, 0, UD,
+                                   region=_contiguous_region(n))]
             if kind is MsgKind.SCATTER or (
                     kind is MsgKind.ATOMIC and msg.payload_bytes):
-                elem_size = msg.elem_dtype.size
-                idx = (base + np.arange(n)[:, None] * elem_size
-                       + np.arange(elem_size))
-                un.check_plan(idx, mask, inst_ix, opname,
-                              RegOperand(msg.payload_reg, 0, msg.elem_dtype))
+                operands.append(RegOperand(msg.payload_reg, 0,
+                                           msg.elem_dtype,
+                                           region=_contiguous_region(n)))
+            self._check_plans([(o, ex._src_plan(o, n)) for o in operands],
+                              inst, inst_ix, lambda: ex._exec_mask(inst))
 
-    def _check_payload(self, ex, inst_ix: int, opname: str, reg: int,
-                       base: int, nbytes: int) -> None:
-        # block-write payloads are not lane-maskable: check every byte.
-        idx = np.arange(base, base + nbytes)[None, :]
-        self.uninit.check_plan(idx, None, inst_ix, opname,
-                               RegOperand(reg, 0, UD))
+    def _check_payload(self, inst, inst_ix: int, nbytes: int) -> None:
+        # block-write payloads are not lane-maskable: check every byte
+        # as one lane.
+        reg = inst.msg.payload_reg
+        base = reg * GRF_SIZE_BYTES
+        idx = self._payload_plans.get((base, nbytes))
+        if idx is None:
+            idx = self._payload_plans[(base, nbytes)] = \
+                np.arange(base, base + nbytes)[None, :]
+        self._check_plans([(RegOperand(reg, 0, UD), idx)], inst, inst_ix)
 
     # -- uninit: destination marking --------------------------------------
 
@@ -162,17 +188,20 @@ class ExecSanitizer:
                 # the old-value payload lands only in active lanes;
                 # disabled lanes keep their previous (possibly
                 # undefined) contents.
-                un.mark_plan(ex._dst_plan(inst.dst, inst.exec_size),
-                             ex._exec_mask(inst))
+                idx = ex._dst_plan(inst.dst, inst.exec_size)
+                if not un.known_valid(idx):
+                    un.mark_plan(idx, ex._exec_mask(inst))
             return
         dst = inst.dst
         if dst is None or isinstance(dst, Immediate):
             return
-        n = inst.exec_size
+        idx = ex._dst_plan(dst, inst.exec_size)
+        if un.known_valid(idx):
+            return
         if op is Opcode.CMP or op is Opcode.SEL:
             # CMP's bool-vector dst and SEL both write every CF-active
             # lane (SEL's predicate only chooses the source; outside
             # divergent control flow that is every lane).
-            un.mark_plan(ex._dst_plan(dst, n), ex._cf_active_lanes(inst))
+            un.mark_plan(idx, ex._cf_active_lanes(inst))
             return
-        un.mark_plan(ex._dst_plan(dst, n), ex._exec_mask(inst))
+        un.mark_plan(idx, ex._exec_mask(inst))

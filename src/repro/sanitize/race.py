@@ -16,16 +16,31 @@ indices, and byte ranges.
 Attachment is cooperative: ``Surface`` access methods forward every
 access to their ``_san_rec`` recorder when one is set, so the eager CM
 intrinsics, the compiled :class:`~repro.isa.executor.FunctionalExecutor`
-SEND paths, and the OpenCL SLM builtins are all covered by the same six
+SEND paths, and the OpenCL SLM builtins are all covered by the same
 notification hooks without knowing about the detector.
 
-The shadow representation exploits the sequential dispatch order:
-threads are interned in first-seen order and, within an epoch, accesses
-arrive in non-decreasing thread order.  Per surface and access category
-the detector keeps *first-owner* and *last-owner* byte maps — a byte was
-touched by two or more distinct threads exactly when its first and last
-owner differ.  That turns conflict checking into a handful of vectorized
-comparisons per epoch instead of per-access set algebra.
+Threads are interned in first-seen order.  Per surface and access
+category the detector keeps *first-owner* and *last-owner* byte maps
+holding the lowest and highest thread id that touched each byte — a
+byte was touched by two or more distinct threads exactly when the two
+differ.  That turns conflict checking into a handful of vectorized
+comparisons per epoch instead of per-access set algebra.  Under
+sequential dispatch the lowest id is also the first to arrive, so the
+maps update with plain stores.
+
+The wide executor (:mod:`repro.isa.wide`) runs a chunk of threads at
+once: :meth:`RaceDetector.begin_threads` interns the chunk, and the
+surfaces' wide access paths report every access together with the
+stacked thread *row* that made it (the ``note_*_many`` hooks and the
+``rows`` argument of :meth:`RaceDetector.note_offsets`).  The same
+min/max maps then accumulate over all chunks of a launch, and the same
+conflict rules judge them.  A wide run that touches no byte from two
+threads in conflicting categories behaves exactly like the sequential
+run (each thread reads only its own writes and the initial memory), so
+the two verdicts agree on race freedom.  For a racy program the wide
+run's results differ from sequential dispatch's and its conflicts carry
+coarser instruction indices, so ``Device.run_compiled`` reruns a racy
+launch sequentially and reports that run.
 
 Known limit: epochs are global across the detector, so a barrier in one
 work-group also appears to order *other* work-groups' accesses to shared
@@ -81,7 +96,7 @@ class Conflict:
 
 @dataclass
 class RaceVerdict:
-    """Per-kernel outcome of a sanitized sequential run."""
+    """Per-kernel outcome of a sanitized run."""
 
     race_free: bool
     conflicts: List[Conflict] = field(default_factory=list)
@@ -151,6 +166,31 @@ class _CatShadow:
         if hi > self.hi:
             self.hi = hi
 
+    def note_many(self, idx: np.ndarray, tids: np.ndarray,
+                  inst: int) -> None:
+        """Bytes ``idx`` touched by threads ``tids`` (one per byte, in
+        any order): fold the lowest and highest id into the maps."""
+        if idx.size == 0:
+            return
+        tids = tids.astype(np.int32, copy=False)
+        cur = self.first_t[idx]
+        lower = (cur < 0) | (tids < cur)
+        if lower.any():
+            sel = idx[lower]
+            self.first_t[sel] = np.iinfo(np.int32).max
+            np.minimum.at(self.first_t, sel, tids[lower])
+            self.first_i[sel] = inst
+        higher = tids > self.last_t[idx]
+        if higher.any():
+            sel = idx[higher]
+            np.maximum.at(self.last_t, sel, tids[higher])
+            self.last_i[sel] = inst
+        lo, hi = int(idx.min()), int(idx.max()) + 1
+        if lo < self.lo:
+            self.lo = lo
+        if hi > self.hi:
+            self.hi = hi
+
     def reset_epoch(self) -> None:
         if self.touched:
             self.first_t[self.lo:self.hi] = -1
@@ -177,14 +217,15 @@ class _SurfShadow:
 
 
 class RaceDetector:
-    """Records sequential-dispatch shadow sets and judges race freedom.
+    """Records per-thread shadow sets and judges race freedom.
 
     Usage: :meth:`attach` the surfaces a kernel binds, call
     :meth:`begin_thread` before each hardware thread runs (thread keys
     may be any hashable — linear indices, grid tuples, OpenCL subgroup
-    ids), :meth:`barrier` at every happens-before edge, and
-    :meth:`finish` after the grid completes to obtain the verdict (this
-    also detaches the recorder).
+    ids) or :meth:`begin_threads` before each chunk of threads the wide
+    executor runs at once, :meth:`barrier` at every happens-before edge
+    (sequential dispatch only), and :meth:`finish` after the grid
+    completes to obtain the verdict (this also detaches the recorder).
     """
 
     #: surfaces whose obs label marks them thread-private (the compiled
@@ -198,6 +239,8 @@ class RaceDetector:
         self._thread_ids: Dict[object, int] = {}
         self._thread_keys: List[object] = []
         self.cur_thread = -1
+        #: thread id of stacked row 0 of the current wide chunk.
+        self._row_base = 0
         #: current instruction index; executor hooks keep it fresh, the
         #: eager paths leave it at -1 and the per-access event ordinal is
         #: reported instead.
@@ -240,6 +283,16 @@ class RaceDetector:
         self.cur_thread = tid
         self.cur_inst = -1
 
+    def begin_threads(self, keys) -> None:
+        """Start a chunk of threads that run at once: ``keys`` are new
+        thread keys in launch order, and row ``r`` of the chunk's wide
+        accesses is ``keys[r]``."""
+        self._row_base = len(self._thread_keys)
+        for key in keys:
+            self._thread_ids[key] = len(self._thread_keys)
+            self._thread_keys.append(key)
+        self.cur_inst = -1
+
     def barrier(self) -> None:
         """End the current epoch: accesses before and after are ordered."""
         self._finalize_epoch()
@@ -258,17 +311,70 @@ class RaceDetector:
             sh.cat(kind).note_slice(s, e, self.cur_thread, self._inst())
 
     def note_offsets(self, surf, kind: str, byte_offsets, elem_size: int,
-                     mask=None) -> None:
+                     mask=None, rows=None) -> None:
+        """Scattered ``elem_size``-byte accesses; ``rows`` (one per
+        offset) names the stacked thread of each lane of a wide access,
+        ``None`` means the current thread made them all."""
         offs = np.asarray(byte_offsets, dtype=np.int64).ravel()
         if mask is not None:
-            offs = offs[np.asarray(mask, dtype=bool).ravel()]
+            keep = np.asarray(mask, dtype=bool).ravel()
+            offs = offs[keep]
+            if rows is not None:
+                rows = np.asarray(rows).ravel()[keep]
         if offs.size == 0:
             return
-        self.events += 1
         idx = (offs[:, None] + np.arange(elem_size)).ravel()
+        if rows is None:
+            self.events += 1
+            sh = self._shadows[id(surf)]
+            idx = idx[(idx >= 0) & (idx < sh.nbytes)]
+            sh.cat(kind).note_bytes(idx, self.cur_thread, self._inst())
+            return
+        rows = np.asarray(rows)
+        self.events += np.unique(rows).size
+        self._note_many(surf, kind, idx, np.repeat(rows, elem_size))
+
+    def note_ranges_many(self, surf, kind: str, starts, nbytes: int,
+                         rows=None) -> None:
+        """One contiguous ``nbytes`` access per stacked thread: row
+        ``rows[i]`` (default ``i``) starts at ``starts[i]``."""
+        starts = np.asarray(starts, dtype=np.int64)
+        if nbytes <= 0 or starts.size == 0:
+            return
+        rows = np.arange(starts.size) if rows is None else np.asarray(rows)
+        self.events += starts.size
+        self._note_many(surf, kind,
+                        (starts[:, None] + np.arange(nbytes)).ravel(),
+                        np.repeat(rows, nbytes))
+
+    def note_rects_many(self, surf, kind: str, x0, x1, y0, y1, pitch: int,
+                        rows=None) -> None:
+        """One clamped 2D block per stacked thread: rows ``[y0, y1)``,
+        byte columns ``[x0, x1)`` (arrays, one entry per thread)."""
+        x0, x1, y0, y1 = (np.asarray(a, dtype=np.int64)
+                          for a in (x0, x1, y0, y1))
+        rows = np.arange(x0.size) if rows is None else np.asarray(rows)
+        w, h = x1 - x0, y1 - y0
+        live = (w > 0) & (h > 0)
+        if not live.any():
+            return
+        x0, y0, w, h, rows = x0[live], y0[live], w[live], h[live], rows[live]
+        self.events += rows.size
+        ry = np.arange(int(h.max()))
+        cx = np.arange(int(w.max()))
+        idx = ((y0[:, None, None] + ry[:, None]) * pitch
+               + x0[:, None, None] + cx)
+        inside = (ry[:, None] < h[:, None, None]) & \
+            (cx < w[:, None, None])
+        self._note_many(surf, kind, idx[inside],
+                        np.broadcast_to(rows[:, None, None], idx.shape)[inside])
+
+    def _note_many(self, surf, kind: str, idx: np.ndarray,
+                   rows: np.ndarray) -> None:
         sh = self._shadows[id(surf)]
-        idx = idx[(idx >= 0) & (idx < sh.nbytes)]
-        sh.cat(kind).note_bytes(idx, self.cur_thread, self._inst())
+        keep = (idx >= 0) & (idx < sh.nbytes)
+        sh.cat(kind).note_many(idx[keep], self._row_base + rows[keep],
+                               self._inst())
 
     def note_rect(self, surf, kind: str, x0: int, x1: int, y0: int, y1: int,
                   pitch: int) -> None:

@@ -39,6 +39,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 import repro.sanitize as sanitize_mod
+from repro.isa.instructions import Opcode
 from repro.memory.surfaces import BufferSurface, Image2DSurface, Surface
 from repro.obs import get_observability
 from repro.obs.breakdown import BreakdownAccumulator, TimeBreakdown
@@ -419,16 +420,23 @@ class Device:
         (``validate``, default from
         :func:`repro.sanitize.default_validate` / ``REPRO_SANITIZE``):
 
-        - ``"first"`` — a kernel's first auto launch runs sequentially
+        - ``"first"`` — a kernel's first auto launch runs sanitized,
           with the race detector and uninitialized-GRF tracker
           attached; the cached :class:`~repro.sanitize.race.RaceVerdict`
           then admits (``race_free``) or permanently refuses (conflicts
           found) the vector tiers for subsequent launches.  Simulated
           timing is identical either way — only wall-clock differs.
-        - ``"always"`` — every launch runs sanitized-sequential.
+        - ``"always"`` — every launch runs sanitized.
         - ``"off"`` — trust the caller; eligible programs go wide
           unchecked (the pre-sanitizer behaviour).
 
+        A sanitized auto launch runs the checkers on the wide
+        interpreter (:meth:`_run_sanitized_wide`) and reruns
+        sanitized-sequential only if they find a race or an
+        uninitialized read, or the pass raises; programs with BARRIER,
+        programs the wide interpreter cannot run and a pinned
+        ``tier="sequential"`` go sanitized-sequential directly.
+        :attr:`KernelRun.path` names the tier the launch really ran on.
         A forced ``"wide"`` or ``"jit"`` bypasses validation (the
         caller asserts race freedom); ``"sequential"`` under
         ``"first"`` stays an unsanitized scalar launch so tests pinning
@@ -535,6 +543,13 @@ class Device:
             return self._run_compiled_wide(
                 kernel, grid, table, scalar_bases, scalars, per_thread,
                 fixed, kname, tier)
+        if sanitize_now and tier is None and eligible and not any(
+                inst.opcode is Opcode.BARRIER for inst in kernel.program):
+            run = self._run_sanitized_wide(
+                kernel, grid, table, scalar_bases, scalars, per_thread,
+                fixed, kname)
+            if run is not None:
+                return run
 
         san = oob_base = None
         if sanitize_now:
@@ -560,7 +575,7 @@ class Device:
                 if self.obs.breakdowns else None)
         live: list[ThreadTrace] = []
         live_peak = 0
-        n_threads = 0
+        n_threads = n_chunks = 0
         try:
             with trace_span("dispatch", kernel=kname, path="compiled",
                             grid=tuple(grid)), \
@@ -590,23 +605,70 @@ class Device:
                         live_peak = len(live)
                     if len(live) >= CHUNK_THREADS:
                         self._retire_chunk(acc, live, bacc, kernel=kname)
+                        n_chunks += 1
                 if live:
                     self._retire_chunk(acc, live, bacc, kernel=kname)
+                    n_chunks += 1
                 tier_span.set(threads=n_threads)
         finally:
             ex.release()
         self.profile.threads_run += n_threads
+        self.profile.chunks_dispatched += n_chunks
         self.profile.note_live_traces(live_peak)
         self.profile.count_launch("sequential")
 
         if san is not None:
-            self._finish_sanitized(kernel, kname, san, oob_base)
+            self._finish_sanitized(kernel, kname, san, san.race.finish(),
+                                   oob_base)
         self._collect_oob(table.values())
         return self._record(acc.finalize(), kname, bacc, path="sequential")
 
-    def _finish_sanitized(self, kernel, kname: str, san, oob_base) -> None:
-        """Fold a sanitized-sequential launch into verdicts and reports."""
-        verdict = san.race.finish()
+    def _run_sanitized_wide(self, kernel, grid, table, scalar_bases,
+                            scalars, per_thread, fixed,
+                            kname: str) -> Optional[KernelRun]:
+        """The vector pass of a sanitized launch, on the wide interpreter.
+
+        Runs the launch with the race detector and uninitialized-GRF
+        tracker attached to the device's wide executor.  A clean pass is
+        the launch (its results, timing and verdict are exactly the
+        sequential ones, see :mod:`repro.sanitize.race`).  When the
+        checkers find something, or the pass raises, the bound surfaces
+        get back their bytes, line tracking and OOB counters and this
+        returns ``None``: the caller then reruns the launch
+        sanitized-sequential, which produces the reported findings
+        exactly as before, and the discarded pass leaves no
+        :class:`KernelRun`, profile counters or OOB totals behind.
+        """
+        surfs = list(table.values())
+        saved = []
+        for surf in surfs:
+            data = np.empty_like(surf.bytes)
+            surf.snapshot_into(data)
+            saved.append((surf, data, surf._touched.copy(),
+                          surf.oob_clipped_lanes, len(surf.oob_events)))
+        race = sanitize_mod.RaceDetector()
+        race.attach(surfs)
+        san = sanitize_mod.ExecSanitizer(
+            race=race, uninit=sanitize_mod.UninitTracker())
+        try:
+            run = self._run_compiled_wide(
+                kernel, grid, dict(table), scalar_bases, scalars,
+                per_thread, fixed, kname, "wide", san=san)
+        except Exception:
+            run = None
+        finally:
+            race.detach()
+        if run is None:
+            for surf, data, touched, lanes, events in saved:
+                surf.restore_from(data)
+                surf._touched[:] = touched
+                surf.oob_clipped_lanes = lanes
+                del surf.oob_events[events:]
+        return run
+
+    def _finish_sanitized(self, kernel, kname: str, san, verdict,
+                          oob_base) -> None:
+        """Fold a sanitized launch into verdicts and reports."""
         self._race_verdicts[id(kernel)] = (kernel, verdict)
         self._fresh_verdicts.append((kname, verdict))
         oob: Dict[str, int] = {}
@@ -712,11 +774,18 @@ class Device:
 
     def _run_compiled_wide(self, kernel, grid, table, scalar_bases,
                            scalars, per_thread, fixed, kname: str,
-                           tier: Optional[str]) -> KernelRun:
+                           tier: Optional[str],
+                           san=None) -> Optional[KernelRun]:
         """Grid-vectorized dispatch: each instruction runs once for a
         whole chunk of threads (see :mod:`repro.isa.wide`), through the
         kernel's megakernel unless ``tier="wide"`` pins the
-        interpreter."""
+        interpreter.
+
+        With an :class:`~repro.sanitize.hooks.ExecSanitizer` ``san`` (on
+        the interpreter only) the launch is checked as it runs; if the
+        checkers find a race or an uninitialized read this returns
+        ``None`` without recording anything (see
+        :meth:`_run_sanitized_wide`)."""
         from repro.compiler.finalizer import SCRATCH_BTI
         from repro.isa.jit import JitTracingExecutor
         from repro.isa.wide import WideScratch
@@ -727,6 +796,9 @@ class Device:
         # Scalar parameters become per-thread int32 columns, seeded into
         # the stacked GRF in one strided write per parameter per chunk.
         cols: Dict[str, np.ndarray] = {}
+        #: which threads were given each parameter (the uninit tracker's
+        #: view of the seeded GRF bytes)
+        seeded: Dict[str, np.ndarray] = {}
         if scalar_bases:
             if per_thread:
                 values = [scalars(tid) for tid in thread_ids]
@@ -734,12 +806,19 @@ class Device:
                     cols[pname] = np.asarray(
                         [0 if v.get(pname) is None else v.get(pname)
                          for v in values], dtype=np.int32)
+                    if san is not None:
+                        seeded[pname] = np.asarray(
+                            [v.get(pname) is not None for v in values])
             else:
                 for pname, _base in scalar_bases:
                     v = fixed.get(pname)
                     cols[pname] = np.full(
                         total, 0 if v is None else int(v), dtype=np.int32)
+                    if san is not None:
+                        seeded[pname] = np.full(total, v is not None)
 
+        oob_base = None if san is None else \
+            [(surf, surf.oob_clipped_lanes) for surf in table.values()]
         scratch = None
         if kernel.allocation.scratch_bytes:
             scratch = WideScratch(0, kernel.allocation.scratch_bytes)
@@ -758,14 +837,15 @@ class Device:
         ex.rebind(table)
         ex.bind_jit(jitk)
         ex.bind_plans(kernel.plan_table())
+        ex.san = san
         path = "jit" if jitk is not None else "wide"
         acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
                 if self.obs.breakdowns else None)
-        live_peak = 0
+        live_peak = n_chunks = 0
         try:
             with trace_span("dispatch", kernel=kname, path=path,
-                            grid=tuple(grid), threads=total):
+                            grid=tuple(grid), threads=total) as span:
                 for chunk_idx, start in enumerate(
                         range(0, total, MAX_LIVE_THREADS)):
                     count = min(MAX_LIVE_THREADS, total - start)
@@ -773,21 +853,27 @@ class Device:
                     if scratch is not None:
                         scratch.resize(count)
                     ex.begin_launch(self.machine)
+                    if san is not None:
+                        san.begin_threads(thread_ids[start:start + count])
                     for pname, base in scalar_bases:
                         ex.seed_scalar(base, cols[pname][start:start + count])
+                        if san is not None:
+                            san.mark_grf_valid(
+                                base, 4,
+                                seeded[pname][start:start + count, None])
                     with trace_span(f"dispatch:{path}", kernel=kname,
                                     grid=tuple(grid), chunk=chunk_idx,
                                     threads=count):
                         ex.run(kernel.program)
                     if count > live_peak:
                         live_peak = count
+                    n_chunks += 1
                     if jitk is not None and bacc is None:
                         # JIT chunks fold timing without fanning the
                         # template out into per-thread traces (the
                         # breakdown profiler still needs real traces).
                         with trace_span("chunk", kernel=kname,
                                         threads=count):
-                            self.profile.chunks_dispatched += 1
                             ex.fold_chunk(
                                 acc, kernel.allocation.max_grf_bytes)
                     else:
@@ -796,12 +882,20 @@ class Device:
                             tr.note_grf(kernel.allocation.max_grf_bytes)
                         self._retire_chunk(acc, traces, bacc,
                                            kernel=kname)
+                if san is not None:
+                    verdict = san.race.finish()
+                    if not verdict.race_free or san.uninit.total:
+                        span.set(discarded=True)
+                        return None
         finally:
             ex.release()
         self.profile.threads_run += total
+        self.profile.chunks_dispatched += n_chunks
         if live_peak:
             self.profile.note_live_traces(live_peak)
         self.profile.count_launch(path)
+        if san is not None:
+            self._finish_sanitized(kernel, kname, san, verdict, oob_base)
         self._collect_oob(table.values())
         return self._record(acc.finalize(), kname, bacc, path=path)
 
@@ -809,7 +903,6 @@ class Device:
                       live: list, bacc=None,
                       kernel: Optional[str] = None) -> None:
         with trace_span("chunk", kernel=kernel, threads=len(live)):
-            self.profile.chunks_dispatched += 1
             acc.extend(live)
             if bacc is not None:
                 bacc.extend(live)

@@ -32,7 +32,7 @@ yields the same winner, which is what makes the persisted registry
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 

@@ -128,8 +128,9 @@ class TestInterleavedReuse:
 
     def test_sanitized_first_launches_interleave(self):
         # validate="first": each kernel's first auto launch runs
-        # sanitized on the shared sequential executor, later ones go
-        # vector; hooks never leak into a launch that is not sanitized.
+        # sanitized on the shared wide executor, later ones take the top
+        # vector tier; hooks never leak into a launch that is not
+        # sanitized.
         dev = Device()
         for workload in ("saxpy", "bitonic_cf", "saxpy", "bitonic_cf"):
             got = _launch(dev, workload, validate="first")
@@ -138,7 +139,7 @@ class TestInterleavedReuse:
             _assert_unbound(dev)
         assert len(dev.sanitizer_results) == 2
         assert [r.path for r in dev.runs] == \
-            ["sequential", "sequential", "jit", "wide"]
+            ["wide", "wide", "jit", "wide"]
 
     def test_reset_drops_both_executors(self):
         dev = Device()

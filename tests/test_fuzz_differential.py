@@ -120,6 +120,11 @@ def test_eager_matches_numpy_oracle(steps, seed):
 # surface contents — including atomics, whose same-address collisions
 # must resolve in thread order).  Random programs are hand-built at the
 # Instruction level because the frontend never emits atomics directly.
+#
+# Both runs also carry the sanitizer (race detector + uninitialized-GRF
+# tracker): the wide executor's checkers must give the sequential
+# oracle's answers — race freedom, thread and access counts, and the
+# number of uninitialized lane reads — on every generated program.
 
 from repro.compiler.finalizer import VectorImmediate  # noqa: E402
 from repro.isa.dtypes import D, F, UB, UD, UW  # noqa: E402
@@ -131,7 +136,9 @@ from repro.isa.instructions import (  # noqa: E402
 )
 from repro.isa.regions import Region  # noqa: E402
 from repro.isa.wide import WideExecutor  # noqa: E402
-from repro.sanitize import RaceDetector  # noqa: E402
+from repro.sanitize import (  # noqa: E402
+    ExecSanitizer, RaceDetector, UninitTracker,
+)
 
 _TIDS = [0, 1, 2, 3, 7]          # includes a gap so addresses collide unevenly
 _TID_BASE = 32                   # r1.0:d
@@ -318,35 +325,62 @@ def _surface_bytes(table):
     return {k: s.bytes.copy() for k, s in table.items()}
 
 
-def _run_sequential(program, seed, certify=True):
-    table = _make_surfaces(seed)
+def _attach_checkers(table):
     detector = RaceDetector()
     detector.attach(table.values())
+    return ExecSanitizer(race=detector, uninit=UninitTracker())
+
+
+def _assert_same_answers(seq_checks, wide_checks):
+    """The checkers' decisions — race freedom, thread and access counts,
+    uninitialized lane reads — must match the sequential oracle's."""
+    answers = [(verdict.race_free, verdict.threads, verdict.events,
+                san.uninit.total) for san, verdict in (seq_checks,
+                                                       wide_checks)]
+    assert answers[1] == answers[0], \
+        "vector checkers diverged from the oracle"
+
+
+def _run_sequential(program, seed, certify=True):
+    """Per-thread run under the sanitizer; returns (GRFs, flags,
+    surfaces, (sanitizer, race verdict))."""
+    table = _make_surfaces(seed)
+    san = _attach_checkers(table)
     ex = FunctionalExecutor(table)
+    ex.san = san
     grfs, flags = [], []
     for tid in _TIDS:
         ex.reset()
-        detector.begin_thread(tid)
+        san.begin_thread(tid)
         ex.grf.write_bytes(_TID_BASE, np.asarray([tid], dtype=np.int32))
+        san.mark_grf_valid(_TID_BASE, 4)
         ex.run(program)
         grfs.append(ex.grf.bytes.copy())
         flags.append({k: v.copy() for k, v in ex.flags.items()})
-    verdict = detector.finish()
+    verdict = san.race.finish()
     if certify:
         # The wide-vs-sequential equivalence claim only holds for
         # race-free programs; certify the generator's discipline.
         assert verdict.race_free, \
             "generator produced a racy program: " + \
             "; ".join(str(c) for c in verdict.conflicts)
-    return np.stack(grfs), flags, _surface_bytes(table)
+    return np.stack(grfs), flags, _surface_bytes(table), (san, verdict)
 
 
-def _run_wide(program, seed):
+def _run_wide(program, seed, sanitize=False):
+    """All threads at once; with ``sanitize`` the checkers ride along
+    and (sanitizer, race verdict) comes back as the fourth element."""
     table = _make_surfaces(seed)
     ex = WideExecutor(table, num_threads=len(_TIDS))
+    san = None
+    if sanitize:
+        san = ex.san = _attach_checkers(table)
+        san.begin_threads(_TIDS)
+        san.mark_grf_valid(_TID_BASE, 4)
     ex.seed_scalar(_TID_BASE, np.asarray(_TIDS, dtype=np.int32))
     ex.run(program)
-    return ex.grf2d.copy(), ex.flags, _surface_bytes(table)
+    checks = None if san is None else (san, san.race.finish())
+    return ex.grf2d.copy(), ex.flags, _surface_bytes(table), checks
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,9 +389,12 @@ def _run_wide(program, seed):
 def test_wide_matches_sequential_bit_exact(steps, seed):
     program = _build_program(steps)
     with np.errstate(all="ignore"):
-        seq_grf, seq_flags, seq_surf = _run_sequential(program, seed)
-        wide_grf, wide_flags, wide_surf = _run_wide(program, seed)
+        seq_grf, seq_flags, seq_surf, seq_checks = _run_sequential(
+            program, seed)
+        wide_grf, wide_flags, wide_surf, wide_checks = _run_wide(
+            program, seed, sanitize=True)
 
+    _assert_same_answers(seq_checks, wide_checks)
     for bti in seq_surf:
         assert np.array_equal(wide_surf[bti], seq_surf[bti]), \
             f"surface {bti} state diverged"
@@ -400,8 +437,9 @@ def _collision_atomic_program(op_idx, invert, with_dst):
 def test_wide_predicated_atomics_thread_order(op_idx, invert, with_dst,
                                               seed):
     prog = _collision_atomic_program(op_idx, invert, with_dst)
-    seq_grf, _, seq_surf = _run_sequential(prog, seed)
-    wide_grf, _, wide_surf = _run_wide(prog, seed)
+    seq_grf, _, seq_surf, seq_checks = _run_sequential(prog, seed)
+    wide_grf, _, wide_surf, wide_checks = _run_wide(prog, seed, sanitize=True)
+    _assert_same_answers(seq_checks, wide_checks)
     for bti in seq_surf:
         assert np.array_equal(wide_surf[bti], seq_surf[bti])
     assert np.array_equal(wide_grf, seq_grf)
@@ -530,8 +568,11 @@ def _assert_cf_bit_identical(program, seed):
     assert wide_eligible(program), "CF program must be wide-admitted"
     assert not _jit_ok(program), "JIT must decline CF programs"
     with np.errstate(all="ignore"):
-        seq_grf, seq_flags, seq_surf = _run_sequential(program, seed)
-        wide_grf, wide_flags, wide_surf = _run_wide(program, seed)
+        seq_grf, seq_flags, seq_surf, seq_checks = _run_sequential(
+            program, seed)
+        wide_grf, wide_flags, wide_surf, wide_checks = _run_wide(
+            program, seed, sanitize=True)
+    _assert_same_answers(seq_checks, wide_checks)
     for bti in seq_surf:
         assert np.array_equal(wide_surf[bti], seq_surf[bti]), \
             f"surface {bti} state diverged"
@@ -565,6 +606,26 @@ def test_wide_nested_loop_break_matches_sequential(loop, force_break, seed):
         _build_cf_program([(tag, a, use_break or force_break, body)]), seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CF_TOP, min_size=1, max_size=2), st.integers(0, 10**6),
+       st.integers(0, 3), st.integers(0, 2**31 - 1))
+def test_wide_uninit_answers_match_sequential(nodes, at, pred, seed):
+    # The divergent programs above with one read of a never-written
+    # register (r20) spliced in at a drawn point, optionally predicated:
+    # inside IF/ELSE arms and loop bodies only the active, flag-enabled
+    # lanes read it, and later loop iterations find only the lanes not
+    # already reported.
+    prog = _build_cf_program(nodes)
+    head = len(_prologue())
+    prog.insert(head + at % (len(prog) - head + 1), Instruction(
+        Opcode.ADD, 8, _dst(_DATA[0], D), [_src(20, D), _src(_DATA[1], D)],
+        pred=None if pred < 2 else Predicate(FlagOperand(pred - 2))))
+    with np.errstate(all="ignore"):
+        *_, seq_checks = _run_sequential(prog, seed)
+        *_, wide_checks = _run_wide(prog, seed, sanitize=True)
+    _assert_same_answers(seq_checks, wide_checks)
+
+
 # -- JIT megakernel vs wide vs sequential -------------------------------------
 #
 # The JIT tier (repro.isa.jit) compiles the whole program to one
@@ -596,8 +657,8 @@ def test_jit_matches_wide_and_sequential_bit_exact(steps, seed):
     # every construct the generator can emit must compile, not fall back
     assert jit_eligible(program)
     with np.errstate(all="ignore"):
-        seq_grf, seq_flags, seq_surf = _run_sequential(program, seed)
-        wide_grf, _, wide_surf = _run_wide(program, seed)
+        seq_grf, seq_flags, seq_surf, _ = _run_sequential(program, seed)
+        wide_grf, _, wide_surf, _ = _run_wide(program, seed)
         jit_grf, jit_flags, jit_surf = _run_jit(program, seed)
 
     for bti in seq_surf:
@@ -623,7 +684,7 @@ def test_jit_matches_wide_and_sequential_bit_exact(steps, seed):
 def test_jit_predicated_atomics_thread_order(op_idx, invert, with_dst,
                                              seed):
     prog = _collision_atomic_program(op_idx, invert, with_dst)
-    seq_grf, _, seq_surf = _run_sequential(prog, seed)
+    seq_grf, _, seq_surf, _ = _run_sequential(prog, seed)
     jit_grf, _, jit_surf = _run_jit(prog, seed)
     for bti in seq_surf:
         assert np.array_equal(jit_surf[bti], seq_surf[bti])
@@ -640,9 +701,7 @@ def test_jit_predicated_atomics_thread_order(op_idx, invert, with_dst,
 import pytest  # noqa: E402
 
 from repro.memory.surfaces import Image2DSurface  # noqa: E402
-from repro.sanitize import (  # noqa: E402
-    ExecSanitizer, OOBError, UninitTracker, strict,
-)
+from repro.sanitize import OOBError, strict  # noqa: E402
 
 
 def _verdict_for(program, seed=5):
@@ -658,15 +717,47 @@ def _verdict_for(program, seed=5):
     return detector.finish()
 
 
+def _write_write_race():
+    # scatter through the *shared* offset register: threads with
+    # overlapping _AREG windows write the same bytes of surface 1.
+    prog = list(_prologue())
+    msg = MessageDesc(MsgKind.SCATTER, surface=1, addr_reg=_AREG,
+                      payload_reg=_PREG, payload_bytes=32, elem_dtype=D)
+    prog.append(Instruction(Opcode.SEND, 8, None, [], msg=msg))
+    return prog
+
+
+def _read_write_race():
+    # private-window scatters plus a shared-window gather of the *same*
+    # surface: later threads read bytes earlier threads wrote.
+    prog = list(_prologue())
+    prog.append(Instruction(Opcode.SEND, 8, None, [], msg=MessageDesc(
+        MsgKind.SCATTER, surface=1, addr_reg=_SREG,
+        payload_reg=_PREG, payload_bytes=32, elem_dtype=D)))
+    prog.append(Instruction(Opcode.SEND, 8, None, [], msg=MessageDesc(
+        MsgKind.GATHER, surface=1, addr_reg=_AREG,
+        payload_reg=_PREG, payload_bytes=32, elem_dtype=D)))
+    return prog
+
+
+def _uninit_read():
+    prog = list(_prologue())
+    prog.append(Instruction(Opcode.ADD, 8, _dst(_DATA[0], D),
+                            [_src(20, D), _src(_DATA[1], D)]))
+    return prog
+
+
+def _oob_block_read():
+    # 8x8 block at (12, 4) on a 16x8 image: only 4x4 is in bounds.
+    msg = MessageDesc(MsgKind.MEDIA_BLOCK_READ, surface=0,
+                      addr0=Immediate(12, UD), addr1=Immediate(4, UD),
+                      payload_reg=_PREG, block_width=8, block_height=8)
+    return [Instruction(Opcode.SEND, 8, None, [], msg=msg)]
+
+
 class TestSeededBugs:
     def test_planted_write_write_race_is_caught(self):
-        # scatter through the *shared* offset register: threads with
-        # overlapping _AREG windows write the same bytes of surface 1.
-        prog = list(_prologue())
-        msg = MessageDesc(MsgKind.SCATTER, surface=1, addr_reg=_AREG,
-                          payload_reg=_PREG, payload_bytes=32,
-                          elem_dtype=D)
-        prog.append(Instruction(Opcode.SEND, 8, None, [], msg=msg))
+        prog = _write_write_race()
         verdict = _verdict_for(prog)
         assert not verdict.race_free
         assert any(c.kind == "write-write" for c in verdict.conflicts)
@@ -675,18 +766,17 @@ class TestSeededBugs:
             _run_sequential(prog, seed=5)
 
     def test_planted_read_write_race_is_caught(self):
-        # private-window scatters plus a shared-window gather of the
-        # *same* surface: later threads read bytes earlier threads wrote.
-        prog = list(_prologue())
-        prog.append(Instruction(Opcode.SEND, 8, None, [], msg=MessageDesc(
-            MsgKind.SCATTER, surface=1, addr_reg=_SREG,
-            payload_reg=_PREG, payload_bytes=32, elem_dtype=D)))
-        prog.append(Instruction(Opcode.SEND, 8, None, [], msg=MessageDesc(
-            MsgKind.GATHER, surface=1, addr_reg=_AREG,
-            payload_reg=_PREG, payload_bytes=32, elem_dtype=D)))
-        verdict = _verdict_for(prog)
+        verdict = _verdict_for(_read_write_race())
         assert not verdict.race_free
         assert any(c.kind == "read-write" for c in verdict.conflicts)
+
+    def test_planted_races_are_caught_on_the_wide_executor(self):
+        for prog, kind in ((_write_write_race(), "write-write"),
+                           (_read_write_race(), "read-write")):
+            *_, (san, verdict) = _run_wide(prog, 5, sanitize=True)
+            assert not verdict.race_free
+            assert any(c.kind == kind for c in verdict.conflicts)
+            assert verdict.threads == len(_TIDS)
 
     def test_race_free_program_is_certified(self):
         # the same shape with disciplined addressing passes cleanly.
@@ -700,9 +790,7 @@ class TestSeededBugs:
         assert _verdict_for(prog).race_free
 
     def test_planted_uninit_read_is_caught(self):
-        prog = list(_prologue())
-        prog.append(Instruction(Opcode.ADD, 8, _dst(_DATA[0], D),
-                                [_src(20, D), _src(_DATA[1], D)]))
+        prog = _uninit_read()
         table = _make_surfaces(3)
         ex = FunctionalExecutor(table)
         san = ExecSanitizer(uninit=UninitTracker())
@@ -714,6 +802,14 @@ class TestSeededBugs:
         ex.run(prog)
         assert san.uninit.total > 0
         assert any(f.reg == 20 for f in san.uninit.findings)
+
+    def test_planted_uninit_read_is_caught_on_the_wide_executor(self):
+        *_, (san, verdict) = _run_wide(_uninit_read(), 3, sanitize=True)
+        assert verdict.race_free
+        # every lane of every thread, reported once per thread
+        assert san.uninit.total == 8 * len(_TIDS)
+        assert {f.reg for f in san.uninit.findings} == {20}
+        assert [f.thread for f in san.uninit.findings] == _TIDS
 
     def test_clean_program_has_no_uninit_findings(self):
         prog = _build_program([("alu", 1, 2, 3), ("gather", 0, 0, 0),
@@ -731,10 +827,7 @@ class TestSeededBugs:
 
     def test_planted_oob_block_read_is_caught(self):
         img = Image2DSurface(np.zeros((8, 16), dtype=np.uint8))
-        msg = MessageDesc(MsgKind.MEDIA_BLOCK_READ, surface=0,
-                          addr0=Immediate(12, UD), addr1=Immediate(4, UD),
-                          payload_reg=_PREG, block_width=8, block_height=8)
-        prog = [Instruction(Opcode.SEND, 8, None, [], msg=msg)]
+        prog = _oob_block_read()
         ex = FunctionalExecutor({0: img})
         ex.reset()
         ex.run(prog)
@@ -745,3 +838,12 @@ class TestSeededBugs:
             ex2.reset()
             with pytest.raises(OOBError):
                 ex2.run(prog)
+
+    def test_planted_oob_block_read_is_caught_on_the_wide_executor(self):
+        img = Image2DSurface(np.zeros((8, 16), dtype=np.uint8))
+        ex = WideExecutor({0: img}, num_threads=3)
+        ex.run(_oob_block_read())
+        assert img.oob_clipped_lanes == 48 * 3
+        with strict():
+            with pytest.raises(OOBError):
+                WideExecutor({0: img}, num_threads=3).run(_oob_block_read())

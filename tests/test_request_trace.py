@@ -77,7 +77,8 @@ class TestRequestTrace:
 
     def test_tree_spans_all_tiers_through_a_coalesced_batch(self):
         """One batch, three same-kernel requests: the sanitized head
-        runs sequential, the certified followers take the jit tier —
+        runs on the wide interpreter, the certified followers take the
+        jit tier —
         and each request still gets its own complete causal tree."""
         cluster = ServeCluster(num_devices=1, batching=True, max_batch=8,
                                validate="first")
@@ -86,7 +87,7 @@ class TestRequestTrace:
         batches = cluster._serve_window(reqs)
         assert len(batches) == 1 and batches[0].size == 3
 
-        assert [r.tier for r in reqs] == ["sequential", "jit", "jit"]
+        assert [r.tier for r in reqs] == ["wide", "jit", "jit"]
         for pos, req in enumerate(reqs):
             tree = cluster.recorder.get(req.trace_id)
             assert tree is req.trace
@@ -301,7 +302,7 @@ class TestClusterAutoDump:
                 for _ in range(3)]
         cluster._serve_window(reqs)
         report = cluster.report()
-        assert report["tiers"].get("sequential") == 1
+        assert report["tiers"].get("wide") == 1
         assert report["tiers"].get("jit") == 2
         assert report["recorder"]["recorded"] == 3
 

@@ -309,7 +309,7 @@ class TestOOB:
 # -- dispatch gating: the load-bearing verdict --------------------------------
 
 class TestWideGating:
-    def test_first_launch_sequential_then_wide(self):
+    def test_first_launch_sanitized_wide_then_jit(self):
         def go():
             dev = Device()
             xb, yb, _, _ = _saxpy_surfaces(dev)
@@ -318,8 +318,9 @@ class TestWideGating:
             _launch(dev, kern, [xb, yb], validate="first")
             return dev
         events, dev = _trace(go)
-        # second launch takes the top auto tier (JIT) once certified
-        assert _dispatch_paths(events) == ["compiled", "jit"]
+        # the sanitized first launch runs on the wide interpreter; the
+        # second takes the top auto tier (JIT) once certified
+        assert _dispatch_paths(events) == ["wide", "jit"]
         assert len(dev.sanitizer_results) == 1
         assert dev.sanitizer_results[0].verdict.race_free
         assert dev.sanitizer_results[0].clean
@@ -333,7 +334,14 @@ class TestWideGating:
                 _launch(dev, kern, [out], n_threads=8, validate="first")
             return dev
         events, dev = _trace(go)
-        assert _dispatch_paths(events) == ["compiled"] * 3
+        # the first launch's vector pass finds the race and is discarded;
+        # the launch reruns sanitized-sequential, and so do the others
+        dispatches = [e["args"] for e in events if e["name"] == "dispatch"]
+        assert [(d["path"], d.get("discarded", False))
+                for d in dispatches] == \
+            [("wide", True)] + [("compiled", False)] * 3
+        assert [r.path for r in dev.runs] == ["sequential"] * 3
+        assert len(dev.sanitizer_results) == 1
         v = dev.sanitizer_results[0].verdict
         assert not v.race_free
         kinds = {c.kind for c in v.conflicts}
@@ -389,14 +397,21 @@ class TestWideGating:
         with pytest.raises(ValueError, match="validate"):
             _launch(dev, kern, [xb, yb], validate="sometimes")
 
-    def test_wide_executor_refuses_sanitizer_hooks(self):
-        from repro.isa.executor import ExecutionError
+    def test_wide_executor_runs_sanitizer_hooks(self):
+        from repro.isa.instructions import Instruction, Opcode
         from repro.isa.wide import WideExecutor
 
+        # r3 = r2 + r2 with r2 seeded for thread t1 only: the bitmap has
+        # one row per thread and reports t0 alone
         ex = WideExecutor({}, num_threads=2)
-        ex.san = ExecSanitizer(uninit=UninitTracker())
-        with pytest.raises(ExecutionError, match="sanitizer"):
-            ex.run([])
+        san = ex.san = ExecSanitizer(uninit=UninitTracker())
+        san.begin_threads(["t0", "t1"])
+        san.mark_grf_valid(64, 4, np.array([[False], [True]]))
+        ex.run([Instruction(Opcode.ADD, 1, RegOperand(3, 0, UD),
+                            [RegOperand(2, 0, UD), RegOperand(2, 0, UD)])])
+        assert san.uninit.valid.shape == (2, 4096)
+        assert san.uninit.total == 1
+        assert san.uninit.findings[0].thread == "t0"
 
     def test_reset_clears_results_and_clear_cache_drops_verdicts(self):
         dev = Device()
@@ -409,6 +424,151 @@ class TestWideGating:
         assert dev._race_verdicts  # verdicts survive like the kernel cache
         dev.reset(clear_cache=True)
         assert not dev._race_verdicts
+
+
+# -- the vector pass: sanitized launches on the wide interpreter -------------
+
+def _read_write_body(cmx, out, tid):
+    # every thread reads block 0 and writes its own block: thread 0's
+    # write races with the other threads' reads (read-write only)
+    v = cmx.vector(np.float32, _VEC)
+    cmx.read(out, 0, v)
+    w = cmx.vector(np.float32, _VEC)
+    w.assign(v + np.float32(1.0))
+    cmx.write(out, tid * (_VEC * 4), w)
+
+
+def _write_write_body(cmx, src, dst, tid):
+    # every thread copies its own block of src over block 0 of dst
+    v = cmx.vector(np.float32, _VEC)
+    cmx.read(src, tid * (_VEC * 4), v)
+    cmx.write(dst, 0, v)
+
+
+def _patched(kern, extra, at_end=False):
+    """``kern`` with instructions spliced into its program."""
+    program = list(kern.program) + extra if at_end else \
+        extra + list(kern.program)
+    return dataclasses.replace(kern, program=program, _plan_table=None,
+                               _jit=None)
+
+
+def _uninit_read(kern):
+    """``kern`` preceded by a read of registers nothing writes."""
+    from repro.isa.dtypes import D
+    from repro.isa.instructions import Instruction, Opcode
+    from repro.isa.regions import Region
+
+    top = kern.allocation.max_grf_bytes // 32
+    src = RegOperand(top + 2, 0, D, Region.contiguous(8))
+    dst = RegOperand(top + 1, 0, D)
+    return _patched(kern, [Instruction(Opcode.ADD, 8, dst, [src, src])])
+
+
+def _seeded_bug_launch(bug, **kw):
+    """A device, its first launch of a kernel with a planted ``bug``,
+    and the bound surfaces' bytes afterwards."""
+    dev = Device()
+    if bug == "read-write":
+        surfaces = [dev.buffer(np.arange(8 * _VEC, dtype=np.float32))]
+        kern = dev.compile(_read_write_body, "rw", _RACY_SIG, ["tid"])
+    elif bug == "write-write":
+        surfaces = [dev.buffer(np.arange(8 * _VEC, dtype=np.float32)),
+                    dev.buffer(np.zeros(_VEC, dtype=np.float32))]
+        kern = dev.compile(_write_write_body, "ww",
+                           [("src", False), ("dst", False)], ["tid"])
+    elif bug == "uninit":
+        surfaces = list(_saxpy_surfaces(dev, n_threads=8)[:2])
+        kern = _uninit_read(_compile_saxpy(dev))
+    else:  # an OOB block read
+        surfaces = [dev.image2d(np.arange(32 * 16, dtype=np.uint8)
+                                .reshape(32, 16))]
+        kern = dev.compile(_clipped_read_body, "clipread",
+                           [("img", True)], ["tid"])
+    run = _launch(dev, kern, surfaces, n_threads=8, **kw)
+    return dev, run, [surf.bytes.copy() for surf in surfaces]
+
+
+def _assert_same_launch(got, want, same_path=True):
+    """Field-for-field equality of two single sanitized launches."""
+    (dev_a, run_a, bytes_a), (dev_b, run_b, bytes_b) = got, want
+    assert len(dev_a.runs) == len(dev_b.runs) == 1
+    assert len(dev_a.sanitizer_results) == len(dev_b.sanitizer_results) == 1
+    assert dev_a.profile.threads_run == dev_b.profile.threads_run
+    if same_path:
+        assert run_a.path == run_b.path
+        for counter in ("tier_launches", "chunks_dispatched",
+                        "peak_live_traces"):
+            assert getattr(dev_a.profile, counter) == \
+                getattr(dev_b.profile, counter), counter
+    assert _timing_equal(run_a.timing, run_b.timing)
+    assert all(np.array_equal(a, b) for a, b in zip(bytes_a, bytes_b))
+    res_a, res_b = dev_a.sanitizer_results[0], dev_b.sanitizer_results[0]
+    assert res_a.verdict == res_b.verdict
+    assert res_a.uninit == res_b.uninit
+    assert res_a.uninit_total == res_b.uninit_total
+    assert res_a.oob_lanes == res_b.oob_lanes
+    assert dev_a.oob_lanes == dev_b.oob_lanes
+
+
+class TestVectorPass:
+    @pytest.mark.parametrize("bug", ["read-write", "write-write", "uninit"])
+    def test_buggy_first_launch_matches_sanitized_sequential(self, bug):
+        # the vector pass finds the bug and is discarded: the launch is
+        # today's sanitized-sequential one, bit for bit
+        got = _seeded_bug_launch(bug, validate="first")
+        want = _seeded_bug_launch(bug, tier="sequential", validate="always")
+        assert got[1].path == "sequential"
+        _assert_same_launch(got, want)
+
+    def test_seeded_bugs_are_all_caught_through_run_compiled(self):
+        for bug in ("read-write", "write-write"):
+            dev, _, _ = _seeded_bug_launch(bug, validate="first")
+            (result,) = dev.sanitizer_results
+            assert bug in {c.kind for c in result.verdict.conflicts}, bug
+        dev, _, _ = _seeded_bug_launch("uninit", validate="first")
+        (result,) = dev.sanitizer_results
+        assert result.uninit_total == 8 * 8  # every lane of every thread
+        dev, run, _ = _seeded_bug_launch("oob", validate="first")
+        (result,) = dev.sanitizer_results
+        # clips are counted (the media block unit clamps by design)
+        assert run.path == "wide"
+        assert result.oob_lanes == {"img0": 8 * 4 * 4}
+
+    def test_clean_first_launch_runs_wide_with_the_sequential_verdict(self):
+        got = _seeded_bug_launch("oob", validate="first")
+        want = _seeded_bug_launch("oob", tier="sequential",
+                                  validate="always")
+        assert got[1].path == "wide" and want[1].path == "sequential"
+        _assert_same_launch(got, want, same_path=False)
+        assert got[0].profile.gate_outcomes == {"sanitized": 1}
+
+    def test_barrier_programs_stay_sanitized_sequential(self):
+        from repro.isa.instructions import Instruction, Opcode
+
+        dev = Device()
+        xb, yb, _, _ = _saxpy_surfaces(dev)
+        kern = _patched(_compile_saxpy(dev),
+                        [Instruction(Opcode.BARRIER, 1, None, [])],
+                        at_end=True)
+        run = _launch(dev, kern, [xb, yb], validate="first")
+        assert run.path == "sequential"
+        # one barrier per thread, each a global epoch boundary
+        assert dev.sanitizer_results[0].verdict.epochs == 1 + 16
+
+    def test_vector_pass_exception_reruns_sequentially(self):
+        # strict OOB raises inside the vector pass; the surfaces come
+        # back and the sequential rerun raises exactly as before
+        dev = Device()
+        img = dev.image2d(np.arange(32 * 16, dtype=np.uint8).reshape(32, 16))
+        before = img.bytes.copy()
+        kern = dev.compile(_clipped_read_body, "clipread",
+                           [("img", True)], ["tid"])
+        with sanitize.strict(), pytest.raises(OOBError, match="read_block"):
+            _launch(dev, kern, [img], n_threads=8, validate="first")
+        assert np.array_equal(img.bytes, before)
+        assert dev.runs == [] and dev.sanitizer_results == []
+        assert img.oob_events[-1][0] == "read_block"
 
 
 # -- OOB metrics through the device -------------------------------------------
